@@ -12,11 +12,11 @@ This subpackage is the paper's primary contribution.  Typical use::
     result = run_session(net, picks, config=CCMConfig(frame_size=1671))
     print(result.bitmap.popcount(), "busy slots in", result.rounds, "rounds")
 
-Sessions run on an interchangeable engine (``engine="packed"`` bit-packed
-uint64 kernels, ``engine="bigint"`` big-int masks, ``engine="batch"``
-the trial-major batched kernel, default ``"auto"``); see
-:mod:`repro.core.engine` for the registry and :mod:`repro.core.batch`
-for running B whole sessions per numpy call.
+Sessions run on an interchangeable engine (``engine="packed"`` the
+batch kernel at B = 1, ``engine="bigint"`` the big-int oracle, default
+``"auto"``); see :mod:`repro.core.engine` for the registry and
+:mod:`repro.core.batch` for the kernel, which runs B whole sessions per
+numpy call.
 """
 
 from repro.core.bitmap import Bitmap, union
@@ -40,7 +40,6 @@ from repro.core.session import (
 )
 from repro.core.batch import (
     BATCH_RNG_CONTRACT,
-    BatchSessionEngine,
     batch_trial_rngs,
     run_session_batch,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SessionEngine",
     "BigintSessionEngine",
     "PackedSessionEngine",
-    "BatchSessionEngine",
     "available_engines",
     "get_engine",
     "register_engine",

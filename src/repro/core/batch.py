@@ -1,17 +1,19 @@
 """Trial-major batched session kernel: B independent CCM sessions per call.
 
-Paper-scale campaigns repeat one deployment question over ~100
-independent trials that share a single topology (Sec. VI-A).  The packed
-engine vectorizes *within* one session; this module stacks B whole
+This is the one fast implementation of Algorithm 1.  Paper-scale
+campaigns repeat one deployment question over ~100 independent trials
+that share a single topology (Sec. VI-A); this module stacks B whole
 sessions on top of each other — knowledge state becomes a 3-D uint64
 array (trial x slot x tag-word on the slot-major path, trial x tag x
 slot-word on the channel-driven tag-major path) and every protocol step
 (data frame, indicator round, propagation, checking frame) advances all
 B sessions in one numpy call.  Finished sessions are masked inert (their
 state freezes, their ledger stops accumulating) rather than forcing
-ragged per-trial loops.
+ragged per-trial loops.  Single sessions run here too: the ``"packed"``
+engine (:class:`repro.core.engine.PackedSessionEngine`) is this kernel
+at B = 1.
 
-The slot-major kernel never re-transposes the transmit matrix: because
+The slot-major kernel never transposes the transmit matrix: because
 every (tag, slot) bit is transmitted at most once per session, per-tag
 energy accounting reduces to exact integer counting identities
 (``|V ∪ done| = |V| + |done| − |V ∩ done|``) maintained incrementally
@@ -22,11 +24,12 @@ engine's popcounts.
 
 Determinism: the ``repro-batch-rng-v1`` contract
 ------------------------------------------------
-The executable reference for a batched trial is the per-trial packed
-engine (:class:`repro.core.engine.PackedSessionEngine`): running trial k
-alone and running it inside any batch must produce bit-identical results
-(bitmap, rounds, slots, round stats, energy floats).  The contract that
-pins this:
+The executable reference for a batched trial is the per-trial scalar
+bigint engine (:class:`repro.core.engine.BigintSessionEngine`), which
+consumes the same ``repro-channel-rng-v1`` stream: running trial k
+alone through it and running trial k inside any batch must produce
+bit-identical results (bitmap, rounds, slots, round stats, energy
+floats).  The contract that pins this:
 
 * Each trial owns a private :class:`numpy.random.Generator` seeded from
   the existing campaign stream (``trial_seed(base_seed, k)``) — exactly
@@ -45,11 +48,11 @@ pins this:
 invalidates every memoized trial key by construction.
 
 Bit-identity to the reference holds because every batched kernel is the
-same arithmetic per trial: :func:`~repro.core.engine.bit_transpose` is a
-pure bit permutation (batching trials along word-aligned blocks permutes
-the same bits), segment ORs are order-independent, and the energy ledger
-only ever adds integer-valued float64 (sums below 2^53 are exact in any
-association).  The equivalence-grid tests assert it directly.
+same arithmetic per trial: segment ORs are order-independent, each
+trial's channel calls consume the ``repro-channel-rng-v1`` stream in
+its pinned order, and the energy ledger only ever adds integer-valued
+float64 (sums below 2^53 are exact in any association).  The
+equivalence-grid tests assert it directly.
 """
 
 from __future__ import annotations
@@ -60,12 +63,9 @@ import numpy as np
 
 from repro.core.bitmap import Bitmap
 from repro.core.engine import (
-    _SLOT_MAJOR_MAX_ADJ_BYTES,
     _pack_bool_mask,
     _word_counts,
-    get_engine,
     masks_to_words,
-    register_engine,
     words_to_int,
 )
 from repro.core.session import (
@@ -82,7 +82,6 @@ from repro.obs import metrics as obs_metrics
 
 __all__ = [
     "BATCH_RNG_CONTRACT",
-    "BatchSessionEngine",
     "batch_trial_rngs",
     "run_session_batch",
 ]
@@ -93,10 +92,12 @@ __all__ = [
 #: so stale cache keys invalidate by construction.
 BATCH_RNG_CONTRACT = "repro-batch-rng-v1"
 
-#: Adjacency-size ceiling for the batched slot-major path, matching the
-#: per-trial engine's routing rule.  Module-level (read at call time) so
-#: large-memory hosts can raise it for headline runs.
-SLOT_MAJOR_MAX_ADJ_BYTES = _SLOT_MAJOR_MAX_ADJ_BYTES
+#: Upper bound on the cached neighbour-bitset size (n x ceil(n/64) words)
+#: for the slot-major path; bigger networks take the edge-wise tag-major
+#: path, whose memory is proportional to the edge count rather than
+#: n^2/8.  Module-level (read at call time) so large-memory hosts can
+#: raise it for headline runs.
+SLOT_MAJOR_MAX_ADJ_BYTES = 1 << 27
 
 #: Shared empty pair array — the "no transmits" state between rounds.
 _EMPTY_PAIRS = np.empty(0, dtype=np.int32)
@@ -258,7 +259,9 @@ def _append_stats(
     bits_new: np.ndarray,
     chk_slots: np.ndarray,
     chk_heard: np.ndarray,
+    has_pending: np.ndarray,
 ) -> None:
+    pending_tags = np.count_nonzero(has_pending, axis=1)
     for b in np.flatnonzero(active):
         stats[b].append(
             RoundStats(
@@ -267,6 +270,7 @@ def _append_stats(
                 bits_new_at_reader=int(bits_new[b]),
                 checking_slots_executed=int(chk_slots[b]),
                 reader_heard_checking=bool(chk_heard[b]),
+                pending_tags=int(pending_tags[b]),
             )
         )
 
@@ -341,7 +345,7 @@ def _batch_slot_major(
     config: CCMConfig,
     picks_batch: Optional[Sequence[np.ndarray]] = None,
 ) -> List[SessionResult]:
-    """Batched mirror of the packed engine's slot-major path.
+    """The perfect-channel path: slot-major state, integer accounting.
 
     The round state is the (trial, slot, tag-word) ``known`` bitset plus
     the current round's transmit *pairs* ``(pb, ps, pt)``.  Each (tag,
@@ -349,7 +353,7 @@ def _batch_slot_major(
     knowledge), so per-tag accounting is pure integer counting:
 
     * ``dcount[b, t]`` — cumulative slots tag t has transmitted in
-      (= popcount of the reference engine's ``done_tm`` row);
+      (= popcount of the reference engine's ``done`` row);
     * ``overlap[b, t]`` — ``|done ∩ V|`` against the *previous* round's
       indicator vector, maintained from two deltas: this round's pairs
       that land in already-busy slots, and the pair *history* (every
@@ -362,12 +366,16 @@ def _batch_slot_major(
     Propagation gathers adjacency rows per surviving (trial, slot) run —
     the adjacency table is shared across trials and cache-resident, so
     the per-run reduction beats one batch-wide gather that would
-    materialize gigabytes.  The learned rows are unpacked in
-    cache-sized chunks and their nonzero coordinates *are* the next
-    round's pairs (int32: every flat key here is bounded by the
-    ``known`` array's element count, which memory already caps far
-    below 2**31).
+    materialize gigabytes.  Learning is applied only to slots that
+    survive the round's (updated) indicator vector: the reference also
+    grows ``known`` on freshly silenced slots, but such slots never
+    transmit or learn again, so skipping them is observationally
+    identical.  The learned rows are unpacked in cache-sized chunks and
+    their nonzero coordinates *are* the next round's pairs (int32: every
+    flat key here is bounded by the ``known`` array's element count,
+    which memory already caps far below 2**31).
     """
+    obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
     n = network.n_tags
     f = config.frame_size
@@ -377,150 +385,163 @@ def _batch_slot_major(
     max_rounds = config.max_rounds if config.max_rounds is not None else l_c
     use_iv = config.use_indicator_vector
 
-    wn = max(1, (n + 63) // 64)
-    wf = max(1, (f + 63) // 64)
-    adjacency = network.packed_adjacency()
-    tier1 = network.tier1_mask
-    reachable = network.reachable_mask
-    iv_slots = indicator_vector_slots(f)
+    with obs.span("setup"):
+        wn = max(1, (n + 63) // 64)
+        wf = max(1, (f + 63) // 64)
+        adjacency = network.packed_adjacency()
+        tier1 = network.tier1_mask
+        reachable = network.reachable_mask
+        iv_slots = indicator_vector_slots(f)
 
-    pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
-    pb = pb.astype(np.int32)
-    ps = ps.astype(np.int32)
-    pt = pt.astype(np.int32)
-    known = np.zeros((B, f, wn), dtype=np.uint64)
-    if pb.size:
-        np.bitwise_or.at(
-            known.reshape(B * f * wn),
-            (pb.astype(np.int64) * f + ps) * wn + (pt >> 6),
-            np.left_shift(np.uint64(1), (pt & 63).astype(np.uint64)),
-        )
-    bitmap = np.zeros((B, f), dtype=bool)
-    dcount = np.zeros((B, n), dtype=np.int64)
-    overlap = np.zeros((B, n), dtype=np.int64)
-    sil_prev = np.zeros(B, dtype=np.int64)
-    # Every (trial*f + slot, trial*n + tag) key pair transmitted so far —
-    # the done set in pair form, appended to as rounds transmit.
-    hist_bs = np.empty(0, dtype=np.int32)
-    hist_bt = np.empty(0, dtype=np.int32)
+        pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
+        pb = pb.astype(np.int32)
+        ps = ps.astype(np.int32)
+        pt = pt.astype(np.int32)
+        known = np.zeros((B, f, wn), dtype=np.uint64)
+        if pb.size:
+            np.bitwise_or.at(
+                known.reshape(B * f * wn),
+                (pb.astype(np.int64) * f + ps) * wn + (pt >> 6),
+                np.left_shift(np.uint64(1), (pt & 63).astype(np.uint64)),
+            )
+        bitmap = np.zeros((B, f), dtype=bool)
+        dcount = np.zeros((B, n), dtype=np.int64)
+        overlap = np.zeros((B, n), dtype=np.int64)
+        sil_prev = np.zeros(B, dtype=np.int64)
+        # Every (trial*f + slot, trial*n + tag) key pair transmitted so
+        # far — the done set in pair form, appended to as rounds transmit.
+        hist_bs = np.empty(0, dtype=np.int32)
+        hist_bt = np.empty(0, dtype=np.int32)
 
-    sent_bits = np.zeros((B, n), dtype=np.float64)
-    recv_bits = np.zeros((B, n), dtype=np.float64)
-    short_slots = np.zeros(B, dtype=np.int64)
-    id_slots = np.zeros(B, dtype=np.int64)
-    stats: List[List[RoundStats]] = [[] for _ in range(B)]
-    active = np.ones(B, dtype=bool)
-    rounds_run = np.zeros(B, dtype=np.int64)
-    clean = np.zeros(B, dtype=bool)
+        sent_bits = np.zeros((B, n), dtype=np.float64)
+        recv_bits = np.zeros((B, n), dtype=np.float64)
+        short_slots = np.zeros(B, dtype=np.int64)
+        id_slots = np.zeros(B, dtype=np.int64)
+        stats: List[List[RoundStats]] = [[] for _ in range(B)]
+        active = np.ones(B, dtype=bool)
+        rounds_run = np.zeros(B, dtype=np.int64)
+        clean = np.zeros(B, dtype=bool)
 
     for round_index in range(1, max_rounds + 1):
         if not active.any():
             break
-        act = active
-        rounds_run[act] = round_index
+        with obs.span("round"):
+            act = active
+            rounds_run[act] = round_index
 
-        # --- data frame -------------------------------------------------
-        key_bs = pb * np.int32(f) + ps
-        key_bt = pb * np.int32(n) + pt
-        delta = np.bincount(key_bt, minlength=B * n).reshape(B, n)
-        transmitting = np.count_nonzero(delta, axis=1)
-        sent_bits[act] += delta[act]
-        dcount += delta  # transmits only happen in active trials
-        if use_iv:
-            # This round's transmits that land in already-silenced slots
-            # (V is still the previous round's vector at listen time).
-            in_v = bitmap.reshape(-1)[key_bs]
-            overlap += np.bincount(
-                key_bt[in_v], minlength=B * n
-            ).reshape(B, n)
-            monitored = sil_prev[:, None] + dcount - overlap
-        else:
-            monitored = dcount
-        recv_bits[act] += (f - monitored[act]).astype(np.float64)
-        short_slots[act] += f
-        hist_bs = np.concatenate((hist_bs, key_bs))
-        hist_bt = np.concatenate((hist_bt, key_bt))
+            # --- data frame ---------------------------------------------
+            with obs.span("data_frame"):
+                key_bs = pb * np.int32(f) + ps
+                key_bt = pb * np.int32(n) + pt
+                delta = np.bincount(key_bt, minlength=B * n).reshape(B, n)
+                transmitting = np.count_nonzero(delta, axis=1)
+                sent_bits[act] += delta[act]
+                dcount += delta  # transmits only happen in active trials
+                if use_iv:
+                    # This round's transmits that land in already-silenced
+                    # slots (V is still the previous round's vector at
+                    # listen time).
+                    in_v = bitmap.reshape(-1)[key_bs]
+                    overlap += np.bincount(
+                        key_bt[in_v], minlength=B * n
+                    ).reshape(B, n)
+                    monitored = sil_prev[:, None] + dcount - overlap
+                else:
+                    monitored = dcount
+                recv_bits[act] += (f - monitored[act]).astype(np.float64)
+                short_slots[act] += f
+                hist_bs = np.concatenate((hist_bs, key_bs))
+                hist_bt = np.concatenate((hist_bt, key_bt))
 
-        # --- indicator vector -------------------------------------------
-        t1p = tier1[pt]
-        reader_busy = np.zeros((B, f), dtype=bool)
-        reader_busy.reshape(-1)[key_bs[t1p]] = True
-        newbusy = reader_busy & ~bitmap
-        bits_new = np.count_nonzero(newbusy, axis=1)
-        bitmap |= reader_busy
-        if use_iv:
-            sil_prev = np.count_nonzero(bitmap, axis=1)
-            id_slots[act] += iv_slots
-            recv_bits[act] += float(f)
-            # Done slots that just turned busy: the pair history holds
-            # exactly initial ∪ learned_{<r} ∪ this round = the done
-            # set, so its newly-busy members are the |done ∩ V|
-            # correction.
-            in_new = newbusy.reshape(-1)[hist_bs]
-            overlap += np.bincount(
-                hist_bt[in_new], minlength=B * n
-            ).reshape(B, n)
+                # The reader hears every slot a tier-1 tag transmits in.
+                t1p = tier1[pt]
+                reader_busy = np.zeros((B, f), dtype=bool)
+                reader_busy.reshape(-1)[key_bs[t1p]] = True
+                newbusy = reader_busy & ~bitmap
+                bits_new = np.count_nonzero(newbusy, axis=1)
+                bitmap |= reader_busy
 
-        # --- propagation + knowledge update -----------------------------
-        if use_iv and pb.size:
-            keep = ~bitmap.reshape(-1)[key_bs]
-            qb, qs, qt = pb[keep], ps[keep], pt[keep]
-            qkey = key_bs[keep]
-        else:
-            qb, qs, qt, qkey = pb, ps, pt, key_bs
-        next_pb = next_ps = next_pt = _EMPTY_PAIRS
-        has_pending = np.zeros((B, n), dtype=bool)
-        if qb.size:
-            starts = np.flatnonzero(np.diff(qkey, prepend=qkey[0] - 1))
-            bounds = np.append(starts, qkey.size)
-            surv_b, surv_s = qb[starts], qs[starts]
-            known_rows = known[surv_b, surv_s]
-            learned_rows = np.empty((starts.size, wn), dtype=np.uint64)
-            lens = np.diff(bounds)
-            single = lens == 1
-            if single.any():
-                learned_rows[single] = adjacency[qt[starts[single]]]
-            for j in np.flatnonzero(~single):
-                learned_rows[j] = np.bitwise_or.reduce(
-                    adjacency[qt[bounds[j] : bounds[j + 1]]], axis=0
+            # --- indicator vector ---------------------------------------
+            if use_iv:
+                with obs.span("indicator"):
+                    sil_prev = np.count_nonzero(bitmap, axis=1)
+                    id_slots[act] += iv_slots
+                    recv_bits[act] += float(f)
+                    # Done slots that just turned busy: the pair history
+                    # holds exactly initial ∪ learned_{<r} ∪ this round =
+                    # the done set, so its newly-busy members are the
+                    # |done ∩ V| correction.
+                    in_new = newbusy.reshape(-1)[hist_bs]
+                    overlap += np.bincount(
+                        hist_bt[in_new], minlength=B * n
+                    ).reshape(B, n)
+
+            # --- propagation + knowledge update -------------------------
+            with obs.span("propagate"):
+                if use_iv and pb.size:
+                    keep = ~bitmap.reshape(-1)[key_bs]
+                    qb, qs, qt = pb[keep], ps[keep], pt[keep]
+                    qkey = key_bs[keep]
+                else:
+                    qb, qs, qt, qkey = pb, ps, pt, key_bs
+                next_pb = next_ps = next_pt = _EMPTY_PAIRS
+                has_pending = np.zeros((B, n), dtype=bool)
+                if qb.size:
+                    starts = np.flatnonzero(
+                        np.diff(qkey, prepend=qkey[0] - 1)
+                    )
+                    bounds = np.append(starts, qkey.size)
+                    surv_b, surv_s = qb[starts], qs[starts]
+                    known_rows = known[surv_b, surv_s]
+                    learned_rows = np.empty(
+                        (starts.size, wn), dtype=np.uint64
+                    )
+                    lens = np.diff(bounds)
+                    single = lens == 1
+                    if single.any():
+                        learned_rows[single] = adjacency[qt[starts[single]]]
+                    for j in np.flatnonzero(~single):
+                        learned_rows[j] = np.bitwise_or.reduce(
+                            adjacency[qt[bounds[j] : bounds[j + 1]]], axis=0
+                        )
+                    learned_rows &= ~known_rows
+                    known[surv_b, surv_s] = known_rows | learned_rows
+                    # Per-trial pending-tags union straight off the packed
+                    # rows (rows are sorted by trial): feeds the checking
+                    # frame without materializing next pairs first.
+                    b_starts = np.flatnonzero(np.diff(surv_b, prepend=-1))
+                    pend_words = np.zeros((B, wn), dtype=np.uint64)
+                    pend_words[surv_b[b_starts]] = np.bitwise_or.reduceat(
+                        learned_rows, b_starts, axis=0
+                    )
+                    has_pending = _unpack_rows(pend_words, n)
+                    next_pb, next_ps, next_pt = _extract_pairs(
+                        learned_rows, surv_b, surv_s, n
+                    )
+
+            # --- checking frame -----------------------------------------
+            with obs.span("checking"):
+                chk_slots, chk_heard = _run_checking_frame_batch(
+                    network, has_pending, active, l_c, sent_bits, recv_bits
                 )
-            learned_rows &= ~known_rows
-            known[surv_b, surv_s] = known_rows | learned_rows
-            # Per-trial pending-tags union straight off the packed rows
-            # (rows are sorted by trial): feeds the checking frame
-            # without materializing next pairs first.
-            b_starts = np.flatnonzero(np.diff(surv_b, prepend=-1))
-            pend_words = np.zeros((B, wn), dtype=np.uint64)
-            pend_words[surv_b[b_starts]] = np.bitwise_or.reduceat(
-                learned_rows, b_starts, axis=0
-            )
-            has_pending = _unpack_rows(pend_words, n)
-            next_pb, next_ps, next_pt = _extract_pairs(
-                learned_rows, surv_b, surv_s, n
+                short_slots[act] += chk_slots[act]
+            _append_stats(
+                stats, act, round_index, transmitting, bits_new, chk_slots,
+                chk_heard, has_pending,
             )
 
-        # --- checking frame ---------------------------------------------
-        chk_slots, chk_heard = _run_checking_frame_batch(
-            network, has_pending, active, l_c, sent_bits, recv_bits
-        )
-        short_slots[act] += chk_slots[act]
-        _append_stats(
-            stats, act, round_index, transmitting, bits_new, chk_slots,
-            chk_heard,
-        )
-
-        finishing = act & ~chk_heard
-        if finishing.any():
-            clean[finishing] = ~(has_pending[finishing] & reachable).any(
-                axis=1
-            )
-            active = act & chk_heard
-            if next_pb.size:
-                keepn = active[next_pb]
-                next_pb = next_pb[keepn]
-                next_ps = next_ps[keepn]
-                next_pt = next_pt[keepn]
-        pb, ps, pt = next_pb, next_ps, next_pt
+            finishing = act & ~chk_heard
+            if finishing.any():
+                clean[finishing] = ~(has_pending[finishing] & reachable).any(
+                    axis=1
+                )
+                active = act & chk_heard
+                if next_pb.size:
+                    keepn = active[next_pb]
+                    next_pb = next_pb[keepn]
+                    next_ps = next_ps[keepn]
+                    next_pt = next_pt[keepn]
+            pb, ps, pt = next_pb, next_ps, next_pt
 
     if active.any():  # hit the round bound with sessions still running
         hp = np.zeros((B, n), dtype=bool)
@@ -544,12 +565,13 @@ def _batch_tag_major(
     rngs: Optional[Sequence[np.random.Generator]],
     picks_batch: Optional[Sequence[np.ndarray]] = None,
 ) -> List[SessionResult]:
-    """Batched mirror of the packed engine's channel-driven tag-major path.
+    """The channel-driven path: tag-major state, channel-packed words.
 
     Channel draws happen per trial in ascending trial order against each
     trial's private generator (the ``repro-batch-rng-v1`` interleaving);
     everything else is word-parallel across the whole batch.
     """
+    obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
     n = network.n_tags
     f = config.frame_size
@@ -558,104 +580,116 @@ def _batch_tag_major(
     )
     max_rounds = config.max_rounds if config.max_rounds is not None else l_c
 
-    tier1 = network.tier1_mask
-    indptr, indices = network.indptr, network.indices
-    reachable = network.reachable_mask
-    wf = max(1, (f + 63) // 64)
-    iv_slots = indicator_vector_slots(f)
+    with obs.span("setup"):
+        tier1 = network.tier1_mask
+        indptr, indices = network.indptr, network.indices
+        reachable = network.reachable_mask
+        wf = max(1, (f + 63) // 64)
+        iv_slots = indicator_vector_slots(f)
 
-    if picks_batch is not None:
-        pending = np.zeros((B, n, wf), dtype=np.uint64)
-        pk = np.stack(
-            [np.asarray(p, dtype=np.int64) for p in picks_batch]
-        )
-        b_idx, t_idx = np.nonzero(pk >= 0)
-        if b_idx.size:
-            s_idx = pk[b_idx, t_idx]
-            np.bitwise_or.at(
-                pending.reshape(B * n * wf),
-                (b_idx * n + t_idx) * wf + (s_idx >> 6),
-                np.left_shift(np.uint64(1), (s_idx & 63).astype(np.uint64)),
+        if picks_batch is not None:
+            pending = np.zeros((B, n, wf), dtype=np.uint64)
+            pk = np.stack(
+                [np.asarray(p, dtype=np.int64) for p in picks_batch]
             )
-    else:
-        pending = np.stack([masks_to_words(m, f) for m in masks_batch])
-    known = pending.copy()
-    done = np.zeros((B, n, wf), dtype=np.uint64)
-    silenced = np.zeros((B, wf), dtype=np.uint64)
-    reader_bitmap = np.zeros((B, wf), dtype=np.uint64)
+            b_idx, t_idx = np.nonzero(pk >= 0)
+            if b_idx.size:
+                s_idx = pk[b_idx, t_idx]
+                np.bitwise_or.at(
+                    pending.reshape(B * n * wf),
+                    (b_idx * n + t_idx) * wf + (s_idx >> 6),
+                    np.left_shift(
+                        np.uint64(1), (s_idx & 63).astype(np.uint64)
+                    ),
+                )
+        else:
+            pending = np.stack([masks_to_words(m, f) for m in masks_batch])
+        known = pending.copy()
+        done = np.zeros((B, n, wf), dtype=np.uint64)
+        silenced = np.zeros((B, wf), dtype=np.uint64)
+        reader_bitmap = np.zeros((B, wf), dtype=np.uint64)
 
-    sent_bits = np.zeros((B, n), dtype=np.float64)
-    recv_bits = np.zeros((B, n), dtype=np.float64)
-    short_slots = np.zeros(B, dtype=np.int64)
-    id_slots = np.zeros(B, dtype=np.int64)
-    stats: List[List[RoundStats]] = [[] for _ in range(B)]
-    active = np.ones(B, dtype=bool)
-    rounds_run = np.zeros(B, dtype=np.int64)
-    clean = np.zeros(B, dtype=bool)
+        sent_bits = np.zeros((B, n), dtype=np.float64)
+        recv_bits = np.zeros((B, n), dtype=np.float64)
+        short_slots = np.zeros(B, dtype=np.int64)
+        id_slots = np.zeros(B, dtype=np.int64)
+        stats: List[List[RoundStats]] = [[] for _ in range(B)]
+        active = np.ones(B, dtype=bool)
+        rounds_run = np.zeros(B, dtype=np.int64)
+        clean = np.zeros(B, dtype=bool)
 
     for round_index in range(1, max_rounds + 1):
         if not active.any():
             break
-        act = active
-        rounds_run[act] = round_index
+        with obs.span("round"):
+            act = active
+            rounds_run[act] = round_index
 
-        # --- data frame -------------------------------------------------
-        transmit = pending & ~silenced[:, None, :]
-        tx_rows = transmit.any(axis=2)
-        transmitting = np.count_nonzero(tx_rows, axis=1)
-        heard = np.zeros_like(transmit)
-        reader_busy = np.zeros((B, wf), dtype=np.uint64)
-        for b in np.flatnonzero(act):
-            # Ascending trial order, private generators: the contract's
-            # interleaving (each stream is unchanged by its neighbours).
-            rng_b = rngs[b] if rngs is not None else None
-            heard[b] = channel.propagate_packed(
-                transmit[b], indptr, indices, rng_b
+            # --- data frame ---------------------------------------------
+            with obs.span("data_frame"):
+                transmit = pending & ~silenced[:, None, :]
+                tx_rows = transmit.any(axis=2)
+                transmitting = np.count_nonzero(tx_rows, axis=1)
+                heard = np.zeros_like(transmit)
+                reader_busy = np.zeros((B, wf), dtype=np.uint64)
+                with obs.span("propagate"):
+                    for b in np.flatnonzero(act):
+                        # Ascending trial order, private generators: the
+                        # contract's interleaving (each stream is
+                        # unchanged by its neighbours).
+                        rng_b = rngs[b] if rngs is not None else None
+                        heard[b] = channel.propagate_packed(
+                            transmit[b], indptr, indices, rng_b
+                        )
+                        reader_busy[b] = channel.reader_senses_packed(
+                            transmit[b], tier1, rng_b
+                        )
+
+                sent = _word_counts(transmit).sum(axis=2)
+                monitored = _word_counts(
+                    silenced[:, None, :] | done | transmit
+                ).sum(axis=2)
+                sent_bits[act] += sent[act]
+                recv_bits[act] += (f - monitored[act]).astype(np.float64)
+                short_slots[act] += f
+
+                learned = heard & ~known & ~transmit & ~silenced[:, None, :]
+                known |= learned | transmit
+                done |= transmit
+
+                bits_new = _word_counts(reader_busy & ~reader_bitmap).sum(
+                    axis=1
+                )
+                reader_bitmap |= reader_busy
+
+            # --- indicator vector ---------------------------------------
+            if config.use_indicator_vector:
+                with obs.span("indicator"):
+                    silenced[act] = reader_bitmap[act]
+                    id_slots[act] += iv_slots
+                    recv_bits[act] += float(f)
+                    learned &= ~silenced[:, None, :]
+            pending = learned
+
+            # --- checking frame -----------------------------------------
+            with obs.span("checking"):
+                has_pending = pending.any(axis=2)
+                chk_slots, chk_heard = _run_checking_frame_batch(
+                    network, has_pending, active, l_c, sent_bits, recv_bits
+                )
+                short_slots[act] += chk_slots[act]
+            _append_stats(
+                stats, act, round_index, transmitting, bits_new, chk_slots,
+                chk_heard, has_pending,
             )
-            reader_busy[b] = channel.reader_senses_packed(
-                transmit[b], tier1, rng_b
-            )
 
-        sent = _word_counts(transmit).sum(axis=2)
-        monitored = _word_counts(
-            silenced[:, None, :] | done | transmit
-        ).sum(axis=2)
-        sent_bits[act] += sent[act]
-        recv_bits[act] += (f - monitored[act]).astype(np.float64)
-        short_slots[act] += f
-
-        learned = heard & ~known & ~transmit & ~silenced[:, None, :]
-        known |= learned | transmit
-        done |= transmit
-
-        # --- indicator vector -------------------------------------------
-        bits_new = _word_counts(reader_busy & ~reader_bitmap).sum(axis=1)
-        reader_bitmap |= reader_busy
-        if config.use_indicator_vector:
-            silenced[act] = reader_bitmap[act]
-            id_slots[act] += iv_slots
-            recv_bits[act] += float(f)
-            learned &= ~silenced[:, None, :]
-        pending = learned
-
-        # --- checking frame ---------------------------------------------
-        has_pending = pending.any(axis=2)
-        chk_slots, chk_heard = _run_checking_frame_batch(
-            network, has_pending, active, l_c, sent_bits, recv_bits
-        )
-        short_slots[act] += chk_slots[act]
-        _append_stats(
-            stats, act, round_index, transmitting, bits_new, chk_slots,
-            chk_heard,
-        )
-
-        finishing = act & ~chk_heard
-        if finishing.any():
-            clean[finishing] = ~pending[finishing][:, reachable].any(
-                axis=(1, 2)
-            )
-            active = act & chk_heard
-            pending[~active] = 0
+            finishing = act & ~chk_heard
+            if finishing.any():
+                clean[finishing] = ~pending[finishing][:, reachable].any(
+                    axis=(1, 2)
+                )
+                active = act & chk_heard
+                pending[~active] = 0
 
     if active.any():
         clean[active] = ~pending[active][:, reachable].any(axis=(1, 2))
@@ -727,14 +761,8 @@ def run_session_batch(
 
     Every returned :class:`~repro.core.session.SessionResult` is
     bit-identical to running that trial alone through
-    ``engine="packed"`` with the same masks and generator.
+    ``engine="bigint"`` with the same masks and generator.
     """
-    channel = channel or PerfectChannel()
-    if not getattr(channel, "supports_packed", False):
-        raise ValueError(
-            f"channel {type(channel).__name__} does not implement the "
-            "packed-word interface required by the batched kernel"
-        )
     if (masks_batch is None) == (picks_batch is None):
         raise ValueError(
             "pass exactly one of masks_batch and picks_batch"
@@ -752,74 +780,55 @@ def run_session_batch(
         norm_masks = _normalize_masks(masks_batch, n, config.frame_size)
     else:
         norm_picks = _normalize_picks(picks_batch, n, config.frame_size)
+    results = _run_batch(
+        network, norm_masks, config, picks_batch=norm_picks,
+        channel=channel, rngs=rngs,
+    )
     obs = obs_metrics.OBS
-    with obs.span("session_batch"):
-        n_tag_words = max(1, (n + 63) // 64)
-        if (
-            channel.is_perfect
-            and n * n_tag_words * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
-        ):
-            results = _batch_slot_major(
-                network, norm_masks, config, picks_batch=norm_picks
-            )
-        else:
-            results = _batch_tag_major(
-                network,
-                norm_masks,
-                config,
-                channel=channel,
-                rngs=rngs,
-                picks_batch=norm_picks,
-            )
-        if obs.enabled:
-            obs.inc("ccm_batch_sessions_total", B)
-            obs.inc("ccm_batch_calls_total")
+    if obs.enabled:
+        obs.inc("ccm_batch_sessions_total", B)
+        obs.inc("ccm_batch_calls_total")
     return results
 
 
-class BatchSessionEngine:
-    """The batched kernel as a single-session engine (B = 1 adapter).
+def _run_batch(
+    network: Network,
+    masks_batch: Optional[List[List[int]]],
+    config: CCMConfig,
+    *,
+    picks_batch: Optional[List[np.ndarray]] = None,
+    channel: Optional[Channel] = None,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+) -> List[SessionResult]:
+    """Route already-validated sessions to the slot-major or tag-major
+    path under one ``session_batch`` span.
 
-    Registered as ``"batch"`` so ``run_session(..., engine="batch")``
-    exercises the batched code path on one session — handy for parity
-    testing and for CLI runs.  Tracing is not batch-aware, so a tracer
-    delegates to the bit-identical packed engine.
+    The body of :func:`run_session_batch` without its input checks and
+    ``ccm_batch_*`` call counters — the entry point of the single-session
+    ``"packed"`` engine, whose masks :func:`~repro.core.session.run_session`
+    has already validated.
     """
-
-    name = "batch"
-
-    def run(
-        self,
-        network: Network,
-        masks: Sequence[int],
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-        tracer=None,
-    ) -> SessionResult:
-        if tracer is not None:
-            return get_engine("packed").run(
-                network,
-                masks,
-                config,
-                channel=channel,
-                rng=rng,
-                ledger=ledger,
-                tracer=tracer,
+    channel = channel or PerfectChannel()
+    if not getattr(channel, "supports_packed", False):
+        raise ValueError(
+            f"channel {type(channel).__name__} does not implement the "
+            "packed-word interface the batch kernel needs; use "
+            "engine='bigint'"
+        )
+    n = network.n_tags
+    with obs_metrics.OBS.span("session_batch"):
+        if (
+            channel.is_perfect
+            and n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
+        ):
+            return _batch_slot_major(
+                network, masks_batch, config, picks_batch=picks_batch
             )
-        result = run_session_batch(
+        return _batch_tag_major(
             network,
-            [masks],
+            masks_batch,
             config,
             channel=channel,
-            rngs=None if rng is None else [rng],
-        )[0]
-        if ledger is not None:
-            ledger.merge(result.ledger)
-            result.ledger = ledger
-        return result
-
-
-register_engine("batch", BatchSessionEngine)
+            rngs=rngs,
+            picks_batch=picks_batch,
+        )

@@ -155,6 +155,7 @@ def run_session_reference(
                 bits_new_at_reader=bits_new,
                 checking_slots_executed=executed,
                 reader_heard_checking=reader_heard,
+                pending_tags=sum(1 for t in range(n) if pending[t]),
             )
         )
         if not reader_heard:

@@ -29,10 +29,13 @@ Implementation notes
 This module is the *API*: parameter objects, result objects, validation,
 and the single entry point :func:`run_session`.  The per-round mechanics
 live in interchangeable :class:`~repro.core.engine.SessionEngine`
-implementations (``"bigint"`` big-int masks, ``"packed"`` bit-packed
-uint64 kernels) selected by the keyword-only ``engine=`` argument; the
-default ``"auto"`` picks the fast packed engine for the paper's perfect
-channel and the channel-agnostic bigint engine otherwise.  Tags are
+implementations (``"bigint"`` big-int masks, ``"packed"`` the batch
+kernel at B = 1) selected by the keyword-only ``engine=`` argument; the
+default ``"auto"`` picks the fast packed engine for the built-in
+channels and the channel-agnostic bigint engine otherwise.  The tracer
+events and ``ccm_*`` protocol counters are derived once per session
+from the result (:func:`emit_session_observables`), not inside any
+engine's round loop.  Tags are
 *state-free*: the per-tag state the engines carry (pending/known/done
 masks) exists only *within* one session, exactly as in the protocol, and
 nothing survives between sessions.
@@ -120,6 +123,9 @@ class RoundStats:
     bits_new_at_reader: int
     checking_slots_executed: int
     reader_heard_checking: bool
+    #: tags holding data to relay after the round's indicator vector —
+    #: the checking frame's would-be slot-1 responders.
+    pending_tags: int
 
 
 @dataclass
@@ -161,6 +167,65 @@ def _picks_to_masks(picks: Sequence[int], frame_size: int) -> List[int]:
                 f"pick {slot} out of range for frame {frame_size}"
             )
     return masks
+
+
+def emit_session_observables(
+    result: SessionResult,
+    config: CCMConfig,
+    tracer: Optional[SessionTracer] = None,
+) -> None:
+    """Publish one finished session's protocol observables.
+
+    Records the ``ccm_rounds_total`` and ``ccm_*_slots_total`` counters on
+    the installed registry and, given a ``tracer``, replays the session as
+    its per-round event stream (``round_start``, ``frame``, ``indicator``,
+    ``checking``, then ``session_end``).  Everything is derived from the
+    result — the reader's busy total after a frame is the running sum of
+    newly heard bits, and the indicator vector is exactly that busy set —
+    so every engine yields the same events.  Call it once per session.
+    """
+    obs = obs_metrics.OBS
+    if obs.enabled:
+        obs.inc("ccm_rounds_total", result.rounds)
+        obs.inc(
+            "ccm_data_frame_slots_total", config.frame_size * result.rounds
+        )
+        if config.use_indicator_vector:
+            obs.inc("ccm_indicator_slots_total", result.slots.id_slots)
+        obs.inc(
+            "ccm_checking_slots_total",
+            sum(s.checking_slots_executed for s in result.round_stats),
+        )
+    if tracer is None:
+        return
+    busy = 0
+    for stats in result.round_stats:
+        r = stats.round_index
+        busy += stats.bits_new_at_reader
+        tracer.emit("round_start", r)
+        tracer.emit(
+            "frame",
+            r,
+            transmitters=stats.transmitting_tags,
+            bits_new_at_reader=stats.bits_new_at_reader,
+            reader_busy_total=busy,
+        )
+        if config.use_indicator_vector:
+            tracer.emit("indicator", r, silenced_total=busy)
+        tracer.emit(
+            "checking",
+            r,
+            slots_executed=stats.checking_slots_executed,
+            reader_heard=stats.reader_heard_checking,
+            pending_tags=stats.pending_tags,
+        )
+    tracer.emit(
+        "session_end",
+        result.rounds,
+        rounds=result.rounds,
+        clean=result.terminated_cleanly,
+        busy_slots=result.bitmap.popcount(),
+    )
 
 
 def run_session(
@@ -209,10 +274,10 @@ def run_session(
         structured event per protocol step.
     engine:
         Which :class:`~repro.core.engine.SessionEngine` runs the session:
-        ``"packed"`` (bit-packed uint64 kernels), ``"bigint"`` (f-bit
+        ``"packed"`` (the batch kernel at B = 1), ``"bigint"`` (f-bit
         Python integers), any :func:`~repro.core.engine.register_engine`'d
-        name, or ``"auto"`` (packed for the perfect channel, bigint
-        otherwise).  Engines are bit-identical under the perfect channel.
+        name, or ``"auto"`` (packed for the built-in channels, bigint
+        otherwise).  The built-in engines are bit-identical.
     """
     from repro.core import engine as _engine_mod
 
@@ -257,8 +322,8 @@ def run_session(
             channel=channel,
             rng=rng,
             ledger=ledger,
-            tracer=tracer,
         )
+        emit_session_observables(result, config, tracer)
         if obs.enabled:
             obs.inc("ccm_sessions_total")
             obs.inc("ccm_session_slots_total", result.total_slots)

@@ -5,19 +5,20 @@ per-thread stack: entering a span while another is active records the
 child under the parent's *path*, so one session produces a tree such as::
 
     session
-    └── round
-        ├── data_frame
-        │   └── transpose_popcount
-        ├── indicator
-        ├── propagate
-        └── checking
+    └── session_batch
+        ├── setup
+        └── round
+            ├── data_frame
+            ├── indicator
+            ├── propagate
+            └── checking
 
 Timings accumulate in the owning :class:`~repro.obs.metrics.MetricsRegistry`
 keyed by path, not per instance — a 9-round session yields one
-``session/round/checking`` entry with count 9, which is what a profile
-wants.  :func:`profile_rows` flattens the accumulated tree into
-self/cumulative rows and :func:`render_profile` prints them as the sorted
-table the ``repro-ccm profile`` subcommand shows.
+``session/session_batch/round/checking`` entry with count 9, which is
+what a profile wants.  :func:`profile_rows` flattens the accumulated tree
+into self/cumulative rows and :func:`render_profile` prints them as the
+sorted table the ``repro-ccm profile`` subcommand shows.
 
 Self time is cumulative time minus the cumulative time of *direct*
 children, so sibling-phase self times sum (with the parent's own self

@@ -1,8 +1,9 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
 :class:`ScenarioSessionEngine` is a :class:`~repro.core.engine.
-SessionEngine` (registered as ``"scenario"``) that runs the packed
-tag-major round loop of the static engines with three per-round hooks:
+SessionEngine` (registered as ``"scenario"``) that runs a packed
+tag-major round loop — one session of the batch kernel's channel-driven
+path — with three per-round hooks:
 
 1. **Reader motion** — at each round's start time (accumulated slot count
    × :class:`~repro.net.timing.SlotTiming`, Gen2-derived by default) the
@@ -66,7 +67,6 @@ from repro.scenario.channel import ScenarioChannel
 from repro.scenario.events import EventJournal
 from repro.scenario.power import LinkBudget
 from repro.scenario.trajectory import ReaderTrajectory
-from repro.sim.trace import SessionTracer
 
 __all__ = ["ScenarioConfig", "ScenarioSessionEngine"]
 
@@ -135,7 +135,6 @@ class ScenarioSessionEngine:
         channel: Optional[Channel] = None,
         rng: Optional[np.random.Generator] = None,
         ledger: Optional[EnergyLedger] = None,
-        tracer: Optional[SessionTracer] = None,
     ) -> SessionResult:
         obs = obs_metrics.OBS
         scenario = self.scenario
@@ -199,9 +198,6 @@ class ScenarioSessionEngine:
         try:
             for round_index in range(1, max_rounds + 1):
                 rounds_run = round_index
-                obs.inc("ccm_rounds_total")
-                if tracer is not None:
-                    tracer.emit("round_start", round_index)
                 round_span = obs.span("round")
                 round_span.__enter__()
 
@@ -260,17 +256,15 @@ class ScenarioSessionEngine:
                         transmit, tier1, rng
                     )
 
-                    with obs.span("transpose_popcount"):
-                        sent = _word_counts(transmit).sum(axis=1)
-                        monitored = _word_counts(
-                            silenced | done | transmit
-                        ).sum(axis=1)
+                    sent = _word_counts(transmit).sum(axis=1)
+                    monitored = _word_counts(
+                        silenced | done | transmit
+                    ).sum(axis=1)
                     ledger.add_sent_bulk(sent.astype(np.float64))
                     ledger.add_received_bulk(
                         (f - monitored).astype(np.float64)
                     )
                     slots += SlotCount(short_slots=f)
-                    obs.inc("ccm_data_frame_slots_total", f)
 
                     # Knowledge update (half duplex + silencing).  heard is
                     # zeroed for unpowered tags by the channel wrapper, so
@@ -291,16 +285,6 @@ class ScenarioSessionEngine:
                     _word_counts(reader_busy & ~reader_bitmap).sum()
                 )
                 reader_bitmap |= reader_busy
-                if tracer is not None:
-                    tracer.emit(
-                        "frame",
-                        round_index,
-                        transmitters=transmitting,
-                        bits_new_at_reader=bits_new,
-                        reader_busy_total=int(
-                            _word_counts(reader_bitmap).sum()
-                        ),
-                    )
                 if config.use_indicator_vector:
                     with obs.span("indicator"):
                         silenced = reader_bitmap.copy()
@@ -311,13 +295,6 @@ class ScenarioSessionEngine:
                         # wake time: V only grows, and a woken tag applies
                         # the then-current V before transmitting anyway.
                         new_pending &= ~silenced
-                        obs.inc("ccm_indicator_slots_total", iv_slots)
-                    if tracer is not None:
-                        tracer.emit(
-                            "indicator",
-                            round_index,
-                            silenced_total=int(_word_counts(silenced).sum()),
-                        )
                 pending = new_pending
 
                 # --- checking frame -------------------------------------
@@ -327,16 +304,7 @@ class ScenarioSessionEngine:
                         net, has_pending, l_c, ledger, active=powered
                     )
                     slots += SlotCount(short_slots=executed)
-                    obs.inc("ccm_checking_slots_total", executed)
                 round_span.__exit__(None, None, None)
-                if tracer is not None:
-                    tracer.emit(
-                        "checking",
-                        round_index,
-                        slots_executed=executed,
-                        reader_heard=reader_heard,
-                        pending_tags=int(has_pending.sum()),
-                    )
                 round_stats.append(
                     RoundStats(
                         round_index=round_index,
@@ -344,6 +312,7 @@ class ScenarioSessionEngine:
                         bits_new_at_reader=bits_new,
                         checking_slots_executed=executed,
                         reader_heard_checking=reader_heard,
+                        pending_tags=int(has_pending.sum()),
                     )
                 )
                 if not reader_heard:
@@ -369,14 +338,6 @@ class ScenarioSessionEngine:
             "min_powered": min_powered,
             "end_time_s": scenario.start_time_s + slots.seconds(timing),
         }
-        if tracer is not None:
-            tracer.emit(
-                "session_end",
-                rounds_run,
-                rounds=rounds_run,
-                clean=terminated_cleanly,
-                busy_slots=int(_word_counts(reader_bitmap).sum()),
-            )
         return SessionResult(
             bitmap=Bitmap(f, words_to_int(reader_bitmap)),
             rounds=rounds_run,

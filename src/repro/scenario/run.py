@@ -24,7 +24,12 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.session import CCMConfig, SessionResult, _picks_to_masks
+from repro.core.session import (
+    CCMConfig,
+    SessionResult,
+    _picks_to_masks,
+    emit_session_observables,
+)
 from repro.net.channel import Channel, LossyChannel, PerfectChannel
 from repro.net.energy import EnergyLedger, TransceiverProfile
 from repro.net.mobility import displace, relocate_fraction
@@ -243,6 +248,9 @@ def run_scenario(
                         net, masks, config, channel=channel, rng=gen,
                         ledger=ledger,
                     )
+                # run_session is bypassed, so record the protocol
+                # counters here, once per session.
+                emit_session_observables(result, config)
                 obs.inc("scenario_operations_total")
                 info = engine.last_run_info
                 t_end = info["end_time_s"]

@@ -531,13 +531,16 @@ class JobManager:
                     f"job queue is full ({queued}/{self.max_queue} waiting)"
                 )
             self._jobs[job.id] = job
+            # Record and announce the job before any worker can take it,
+            # so the queued record and event always precede the running
+            # ones.
+            self._persist(job)
+            job.events.append(
+                "job", state="queued", job_id=job.id, priority=spec.priority,
+                trace_id=job.trace_id,
+            )
             self._push(job)
             self._cond.notify()
-        self._persist(job)
-        job.events.append(
-            "job", state="queued", job_id=job.id, priority=spec.priority,
-            trace_id=job.trace_id,
-        )
         return job
 
     @staticmethod
@@ -640,19 +643,22 @@ class JobManager:
         previous = obs_metrics.set_registry(sink)
         try:
             with sink.span("job"):
-                self._run_job(job)
+                state = self._run_job(job)
         except JobInterrupted:
-            job.state = "interrupted"
+            state = "interrupted"
         except JobCancelled:
-            job.state = "cancelled"
+            state = "cancelled"
         except Exception as exc:  # noqa: BLE001 - job isolation is the point
-            job.state = "failed"
+            state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
             obs_metrics.set_registry(previous)
         job.telemetry = job_registry.to_dict()
         job.finished_utc = _utcnow()
-        self._persist(job)
+        # Persist the terminal record before publishing the terminal
+        # state: whoever sees the job finished can read its record.
+        self._persist(job, state=state)
+        job.state = state
         job.events.append(
             "job",
             state=job.state,
@@ -664,8 +670,9 @@ class JobManager:
         )
         job.events.close()
 
-    def _run_job(self, job: Job) -> None:
-        """Run the job's campaign or sweep; raises propagate to _execute."""
+    def _run_job(self, job: Job) -> str:
+        """Run the job's campaign or sweep and return its terminal state;
+        raises propagate to _execute."""
         spec = job.spec
         plan = RunPlan.from_json(
             spec.plan if spec.plan is not None else {"schema": PLAN_SCHEMA},
@@ -707,28 +714,28 @@ class JobManager:
                 plan=plan,
             )
             job.result = sweep_to_dict(result)
-            job.state = "done"
-        else:
-            campaign = Campaign(
-                spec.build_trial(),
-                spec.n_trials,
-                spec.base_seed,
-                plan=plan,
-                on_trial_done=on_trial_done,
-            )
-            outcome = campaign.run()
-            job.result = _campaign_to_dict(outcome)
-            job.state = "done" if outcome.ok else "failed"
-            if not outcome.ok:
-                job.error = (
-                    f"{len(outcome.failures)} trial(s) failed: "
-                    f"{outcome.failures[0]}"
-                )
+            return "done"
+        campaign = Campaign(
+            spec.build_trial(),
+            spec.n_trials,
+            spec.base_seed,
+            plan=plan,
+            on_trial_done=on_trial_done,
+        )
+        outcome = campaign.run()
+        job.result = _campaign_to_dict(outcome)
+        if outcome.ok:
+            return "done"
+        job.error = (
+            f"{len(outcome.failures)} trial(s) failed: {outcome.failures[0]}"
+        )
+        return "failed"
 
     # -- persistence -----------------------------------------------------------
 
-    def _persist(self, job: Job) -> None:
-        """Atomically rewrite the job's on-disk record."""
+    def _persist(self, job: Job, state: Optional[str] = None) -> None:
+        """Atomically rewrite the job's on-disk record (with ``state`` in
+        place of the job's current one, if given)."""
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         path = self.jobs_dir / f"{job.id}.bin"
         # pid+tid: submit (server thread) and the worker may persist the
@@ -737,7 +744,10 @@ class JobManager:
         with open(tmp, "wb") as fh:
             # allow_nan: job telemetry aggregates may legitimately carry
             # non-finite floats; this record is never content-addressed.
-            write_record(fh, job.to_dict(), RECORD_TYPE_JOB, allow_nan=True)
+            record = job.to_dict()
+            if state is not None:
+                record["state"] = state
+            write_record(fh, record, RECORD_TYPE_JOB, allow_nan=True)
         os.replace(tmp, path)
         # Drop the legacy record a pre-binary server may have left for
         # this id, so recover() never resurrects a stale state.

@@ -1,13 +1,14 @@
-"""The trial-major batched kernel vs the per-trial packed reference.
+"""The trial-major batched kernel vs the per-trial bigint reference.
 
 The executable reference for ``run_session_batch`` is the per-trial
-packed engine: under the ``repro-batch-rng-v1`` contract every trial in
-a batch must be bit-identical to running it alone with the same
-generator.  The grid here sweeps topology x frame size x loss and
-compares every observable field (bitmap, rounds, slot accounting, round
-stats, energy floats).  Also covered: trial-order independence, tail
-batches through the campaign engine, the ``engine="batch"`` adapter,
-and the RNG-contract fingerprint coupling.
+scalar bigint engine, which consumes the same ``repro-channel-rng-v1``
+stream: under the ``repro-batch-rng-v1`` contract every trial in a batch
+must be bit-identical to running it alone with the same generator.  The
+grid here sweeps topology x frame size x loss and compares every
+observable field (bitmap, rounds, slot accounting, round stats, energy
+floats).  Also covered: trial-order independence, tail batches through
+the campaign engine, the ``engine="packed"`` B = 1 adapter, and the
+RNG-contract fingerprint coupling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from repro.core.batch import (
     batch_trial_rngs,
     run_session_batch,
 )
-from repro.core.engine import available_engines
+from repro.core.engine import (
+    PackedSessionEngine,
+    available_engines,
+    get_engine,
+)
 from repro.core.session import CCMConfig, run_session
 from repro.net.channel import LossyChannel
 from repro.sim.parallel import Campaign, ExecutorConfig
@@ -44,7 +49,7 @@ def draw_masks(rng, n, f, participation=0.8):
 
 
 def run_reference(network, f, loss, seed):
-    """One trial through the per-trial packed engine (the contract's
+    """One trial through the per-trial bigint engine (the contract's
     reference path), drawing masks and channel losses from one
     generator exactly as the batched path must."""
     rng = np.random.default_rng(seed)
@@ -53,9 +58,9 @@ def run_reference(network, f, loss, seed):
     if loss > 0.0:
         return run_session(
             network, masks=masks, config=config,
-            channel=LossyChannel(loss=loss), rng=rng, engine="packed",
+            channel=LossyChannel(loss=loss), rng=rng, engine="bigint",
         )
-    return run_session(network, masks=masks, config=config, engine="packed")
+    return run_session(network, masks=masks, config=config, engine="bigint")
 
 
 def run_batched(network, f, loss, seeds):
@@ -95,6 +100,8 @@ class TestEquivalenceGrid:
     @pytest.mark.parametrize("f", FRAME_SIZES)
     @pytest.mark.parametrize("loss", LOSSES)
     def test_batched_matches_per_trial_packed(self, grid_network, f, loss):
+        """Every batched trial equals that trial run alone through the
+        per-trial bigint reference (:func:`run_reference`)."""
         seeds = [trial_seed(BASE_SEED, k) for k in range(B)]
         batched = run_batched(grid_network, f, loss, seeds)
         assert len(batched) == B
@@ -142,11 +149,17 @@ class TestTrialOrderIndependence:
 
 
 class TestBatchEngineAdapter:
+    """``engine="packed"`` is the batch kernel at B = 1."""
+
     def test_registered(self):
-        assert "batch" in available_engines()
+        assert "packed" in available_engines()
+        assert "batch" not in available_engines()
+        assert isinstance(get_engine("packed"), PackedSessionEngine)
 
     @pytest.mark.parametrize("loss", (0.0, 0.2))
     def test_engine_batch_equals_packed(self, small_network, loss):
+        """The B = 1 adapter (``engine="packed"``) equals the bigint
+        reference on the same masks and generator."""
         rng_a = np.random.default_rng(11)
         masks = draw_masks(rng_a, small_network.n_tags, 64)
         rng_b = np.random.default_rng(11)
@@ -155,11 +168,11 @@ class TestBatchEngineAdapter:
         channel = LossyChannel(loss=loss) if loss > 0.0 else None
         ref = run_session(
             small_network, masks=masks, config=config, channel=channel,
-            rng=rng_a if loss > 0.0 else None, engine="packed",
+            rng=rng_a if loss > 0.0 else None, engine="bigint",
         )
         out = run_session(
             small_network, masks=masks, config=config, channel=channel,
-            rng=rng_b if loss > 0.0 else None, engine="batch",
+            rng=rng_b if loss > 0.0 else None, engine="packed",
         )
         assert_sessions_identical(ref, out)
 

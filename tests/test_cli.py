@@ -1,5 +1,7 @@
 """Tests for the repro-ccm command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.experiments.cli import SCALES, build_parser, main
@@ -34,6 +36,20 @@ class TestParser:
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig3", "--scale", "huge"])
+
+    def test_engine_choices_unique_in_every_subcommand(self):
+        def walk(parser, path):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, sub in action.choices.items():
+                        yield from walk(sub, path + (name,))
+                elif "--engine" in action.option_strings:
+                    yield path, list(action.choices)
+
+        found = dict(walk(build_parser(), ()))
+        assert ("tables",) in found and ("profile",) in found
+        for path, choices in found.items():
+            assert len(choices) == len(set(choices)), (path, choices)
 
 
 class TestExecution:
@@ -135,7 +151,7 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "phase" in out and "self s" in out and "cum s" in out
-        assert "session/round/checking" in out
+        assert "session/session_batch/round/checking" in out
         assert "coverage: root spans account for" in out
         assert metrics_path.read_text().strip()
         manifest = RunManifest.from_json(manifest_path.read_text())
@@ -170,7 +186,7 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "loss=0.2" in out
-        assert "session/round/data_frame/propagate" in out
+        assert "session/session_batch/round/data_frame/propagate" in out
         manifest = RunManifest.from_json(manifest_path.read_text())
         assert manifest.config["loss"] == 0.2
 

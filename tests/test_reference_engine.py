@@ -6,10 +6,13 @@ received bits, and round statistics.  Any divergence means one of them
 mis-implements the protocol (historically it would be the fast one).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.batch as batch_mod
 from repro.core.reference import run_session_reference
 from repro.core.session import CCMConfig, run_session
 from repro.net.geometry import Point, uniform_disk
@@ -112,14 +115,26 @@ class TestRandomTopologies:
             run_session_reference(net, picks, config),
         )
 
+    # The fast kernel has two paths on the perfect channel: slot-major by
+    # default, tag-major when the adjacency-size ceiling is 0.
+    @pytest.mark.parametrize(
+        "adj_bytes",
+        [batch_mod.SLOT_MAJOR_MAX_ADJ_BYTES, 0],
+        ids=["slot-major", "tag-major"],
+    )
     @given(
         n=st.integers(min_value=10, max_value=60),
         seed=st.integers(min_value=0, max_value=2**31),
         frame=st.integers(min_value=4, max_value=48),
         prob=st.floats(min_value=0.0, max_value=1.0),
+        use_indicator_vector=st.booleans(),
+        max_rounds=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
     )
     @settings(max_examples=20, deadline=None)
-    def test_hypothesis_differential(self, n, seed, frame, prob):
+    def test_hypothesis_differential(
+        self, adj_bytes, n, seed, frame, prob, use_indicator_vector,
+        max_rounds,
+    ):
         positions = uniform_disk(n, 12.0, seed=seed)
         net = Network.build(
             positions,
@@ -127,11 +142,14 @@ class TestRandomTopologies:
             tag_range=4.0,
         )
         picks = frame_picks(net.tag_ids, frame, prob, seed)
-        config = CCMConfig(frame_size=frame)
-        assert_identical(
-            run_session(net, picks, config=config),
-            run_session_reference(net, picks, config),
+        config = CCMConfig(
+            frame_size=frame,
+            use_indicator_vector=use_indicator_vector,
+            max_rounds=max_rounds,
         )
+        with mock.patch.object(batch_mod, "SLOT_MAJOR_MAX_ADJ_BYTES", adj_bytes):
+            fast = run_session(net, picks, config=config, engine="packed")
+        assert_identical(fast, run_session_reference(net, picks, config))
 
     def test_validation_matches(self, star_network):
         with pytest.raises(ValueError):

@@ -261,7 +261,25 @@ class TestJobManager:
 
 
 @pytest.fixture
-def service(tmp_path):
+def job_gate(monkeypatch):
+    """Hold every job worker before it takes a job until ``set()``.
+
+    Request it *before* ``service`` so the workers start gated; the
+    service fixture opens the gate at teardown.
+    """
+    gate = threading.Event()
+    next_job = JobManager._next_job
+
+    def gated_next_job(self):
+        gate.wait()
+        return next_job(self)
+
+    monkeypatch.setattr(JobManager, "_next_job", gated_next_job)
+    return gate
+
+
+@pytest.fixture
+def service(request, tmp_path):
     """A live ServiceApp on an ephemeral port, torn down by drain."""
     store = ResultStore(tmp_path / "store")
     app = ServiceApp(store, port=0, max_queue=3, job_workers=1)
@@ -276,6 +294,8 @@ def service(tmp_path):
         client=ServiceClient(f"http://127.0.0.1:{port}"),
         loop=loop,
     )
+    if "job_gate" in request.fixturenames:
+        request.getfixturevalue("job_gate").set()
     asyncio.run_coroutine_threadsafe(app.shutdown(), loop).result(60)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(5)
@@ -288,16 +308,17 @@ class TestService:
         assert health["status"] == "ok"
         assert health["draining"] is False
 
-    def test_submit_run_stream_complete(self, service):
+    def test_submit_run_stream_complete(self, job_gate, service):
         job = service.client.submit(tiny_spec())
-        assert job["state"] in ("queued", "running")
+        assert job["state"] == "queued"
         assert job["trials_total"] == 5
+        assert service.client.job(job["id"])["state"] == "queued"
+        job_gate.set()
         events = list(service.client.events(job["id"], timeout_s=30))
         kinds = [e["kind"] for e in events]
-        assert kinds[0] == "job"
-        assert kinds.count("trial") == 5
-        assert events[-1]["kind"] == "job"
-        assert events[-1]["data"]["state"] == "done"
+        assert kinds == ["job", "job"] + ["trial"] * 5 + ["job"]
+        states = [e["data"]["state"] for e in events if e["kind"] == "job"]
+        assert states == ["queued", "running", "done"]
         # events are sequence-numbered for resumable replay
         assert [e["seq"] for e in events] == sorted(e["seq"] for e in events)
         final = service.client.wait(job["id"], timeout_s=30)
