@@ -11,7 +11,8 @@ B sessions in one numpy call.  Finished sessions are masked inert (their
 state freezes, their ledger stops accumulating) rather than forcing
 ragged per-trial loops.  Single sessions run here too: the ``"packed"``
 engine (:class:`repro.core.engine.PackedSessionEngine`) is this kernel
-at B = 1.
+at B = 1, and so is the ``"scenario"`` engine, which moves the reader
+and power-cycles tags through a per-round hook.
 
 The slot-major kernel never transposes the transmit matrix: because
 every (tag, slot) bit is transmitted at most once per session, per-tag
@@ -57,7 +58,7 @@ equivalence-grid tests assert it directly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,6 +102,12 @@ SLOT_MAJOR_MAX_ADJ_BYTES = 1 << 27
 
 #: Shared empty pair array — the "no transmits" state between rounds.
 _EMPTY_PAIRS = np.empty(0, dtype=np.int32)
+
+_ALL_ONES = ~np.uint64(0)
+
+#: ``(round_index, slots so far) -> (network, powered mask or None)``,
+#: called at the top of each round of the tag-major path.
+RoundHook = Callable[[int, SlotCount], Tuple[Network, Optional[np.ndarray]]]
 
 
 def batch_trial_rngs(
@@ -147,6 +154,7 @@ def _run_checking_frame_batch(
     network: Network,
     has_pending: np.ndarray,
     active: np.ndarray,
+    powered: np.ndarray,
     l_c: int,
     sent_bits: np.ndarray,
     recv_bits: np.ndarray,
@@ -159,11 +167,13 @@ def _run_checking_frame_batch(
     :func:`~repro.net.channel.or_reduce_segments` over the CSR adjacency
     for every trial simultaneously.  A trial leaves the wave when its
     responders die out (the reader listens out the remaining slots) or
-    when a tier-1 response is heard.
+    when a tier-1 response is heard.  Only ``powered`` (trial x tag)
+    tags respond or relay the pulse; a sleeping tag's pending flag seeds
+    the wave once it is powered again in a later round.
 
     Energy (active trials only): posts the same bulk updates as the
-    reference — every tag listens ``listened - responded`` slots and a
-    responder sends one bit.  Returns ``(slots, heard)`` per trial;
+    reference — every powered tag listens ``listened - responded`` slots
+    and a responder sends one bit.  Returns ``(slots, heard)`` per trial;
     ``slots`` is 0 for inactive trials.
     """
     B, n = has_pending.shape
@@ -173,13 +183,14 @@ def _run_checking_frame_batch(
     any_tier1 = bool(tier1.any())
 
     live = active.copy()
+    awake_w = _pack_rows(powered.T, wb)
     frontier_w = _pack_rows((has_pending & active[:, None]).T, wb)
     responded_w = np.zeros_like(frontier_w)
     executed = np.zeros(B, dtype=np.int64)
     heard = np.zeros(B, dtype=bool)
     live_w = _pack_bool_mask(live, wb)
     for _slot in range(1, l_c + 1):
-        responders_w = (frontier_w & ~responded_w) & live_w[None, :]
+        responders_w = frontier_w & ~responded_w & awake_w & live_w[None, :]
         any_resp = _unpack_vec(
             np.bitwise_or.reduce(responders_w, axis=0), B
         )
@@ -211,7 +222,9 @@ def _run_checking_frame_batch(
 
     listened = np.where(heard, executed, l_c).astype(np.float64)
     resp = _unpack_rows(responded_w, B).T.astype(np.float64)
-    recv_bits[active] += listened[active, None] - resp[active]
+    recv_bits[active] += (listened[active, None] - resp[active]) * powered[
+        active
+    ]
     sent_bits[active] += resp[active]
     slots = np.where(heard, executed, l_c)
     slots[~active] = 0
@@ -419,6 +432,7 @@ def _batch_slot_major(
         id_slots = np.zeros(B, dtype=np.int64)
         stats: List[List[RoundStats]] = [[] for _ in range(B)]
         active = np.ones(B, dtype=bool)
+        powered = np.ones((B, n), dtype=bool)
         rounds_run = np.zeros(B, dtype=np.int64)
         clean = np.zeros(B, dtype=bool)
 
@@ -522,7 +536,8 @@ def _batch_slot_major(
             # --- checking frame -----------------------------------------
             with obs.span("checking"):
                 chk_slots, chk_heard = _run_checking_frame_batch(
-                    network, has_pending, active, l_c, sent_bits, recv_bits
+                    network, has_pending, active, powered, l_c, sent_bits,
+                    recv_bits,
                 )
                 short_slots[act] += chk_slots[act]
             _append_stats(
@@ -564,12 +579,27 @@ def _batch_tag_major(
     channel: Channel,
     rngs: Optional[Sequence[np.random.Generator]],
     picks_batch: Optional[Sequence[np.ndarray]] = None,
+    round_hook: Optional[RoundHook] = None,
 ) -> List[SessionResult]:
     """The channel-driven path: tag-major state, channel-packed words.
 
     Channel draws happen per trial in ascending trial order against each
     trial's private generator (the ``repro-batch-rng-v1`` interleaving);
     everything else is word-parallel across the whole batch.
+
+    Power is data here: ``powered`` (trial x tag) is all True unless
+    ``round_hook`` supplies a mask.  An unpowered tag neither transmits,
+    listens, learns, responds in the checking frame nor accrues energy,
+    and it keeps its pending data until it is powered again.  Its
+    transmissions are removed before the channel sees them, so the
+    channel draws only for powered senders.  With every tag powered each
+    masking step is the identity.
+
+    ``round_hook`` (the scenario engine's, at B = 1) is called at the top
+    of every round with ``(round_index, slots so far)`` and returns
+    ``(network, powered)``: the round's network — a moved reader relinks
+    the tiers over the same tag adjacency — and its powered-tag mask, or
+    ``None`` for every tag powered.
     """
     obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
@@ -581,9 +611,9 @@ def _batch_tag_major(
     max_rounds = config.max_rounds if config.max_rounds is not None else l_c
 
     with obs.span("setup"):
+        # A round hook's networks share this tag adjacency.
         tier1 = network.tier1_mask
         indptr, indices = network.indptr, network.indices
-        reachable = network.reachable_mask
         wf = max(1, (f + 63) // 64)
         iv_slots = indicator_vector_slots(f)
 
@@ -615,6 +645,8 @@ def _batch_tag_major(
         id_slots = np.zeros(B, dtype=np.int64)
         stats: List[List[RoundStats]] = [[] for _ in range(B)]
         active = np.ones(B, dtype=bool)
+        powered = np.ones((B, n), dtype=bool)
+        awake = np.full((B, n, 1), _ALL_ONES)  # powered, as a word mask
         rounds_run = np.zeros(B, dtype=np.int64)
         clean = np.zeros(B, dtype=bool)
 
@@ -624,10 +656,21 @@ def _batch_tag_major(
         with obs.span("round"):
             act = active
             rounds_run[act] = round_index
+            if round_hook is not None:
+                network, mask = round_hook(
+                    round_index,
+                    SlotCount(
+                        short_slots=int(short_slots[0]),
+                        id_slots=int(id_slots[0]),
+                    ),
+                )
+                tier1 = network.tier1_mask
+                powered[:] = True if mask is None else mask
+                awake = np.where(powered, _ALL_ONES, np.uint64(0))[..., None]
 
             # --- data frame ---------------------------------------------
             with obs.span("data_frame"):
-                transmit = pending & ~silenced[:, None, :]
+                transmit = pending & ~silenced[:, None, :] & awake
                 tx_rows = transmit.any(axis=2)
                 transmitting = np.count_nonzero(tx_rows, axis=1)
                 heard = np.zeros_like(transmit)
@@ -644,18 +687,21 @@ def _batch_tag_major(
                         reader_busy[b] = channel.reader_senses_packed(
                             transmit[b], tier1, rng_b
                         )
+                heard &= awake
 
                 sent = _word_counts(transmit).sum(axis=2)
                 monitored = _word_counts(
                     silenced[:, None, :] | done | transmit
                 ).sum(axis=2)
                 sent_bits[act] += sent[act]
-                recv_bits[act] += (f - monitored[act]).astype(np.float64)
+                recv_bits[act] += ((f - monitored) * powered)[act]
                 short_slots[act] += f
 
                 learned = heard & ~known & ~transmit & ~silenced[:, None, :]
                 known |= learned | transmit
                 done |= transmit
+                # A sleeping tag learned nothing and keeps its pending data.
+                pending = learned | (pending & ~awake)
 
                 bits_new = _word_counts(reader_busy & ~reader_bitmap).sum(
                     axis=1
@@ -667,15 +713,17 @@ def _batch_tag_major(
                 with obs.span("indicator"):
                     silenced[act] = reader_bitmap[act]
                     id_slots[act] += iv_slots
-                    recv_bits[act] += float(f)
-                    learned &= ~silenced[:, None, :]
-            pending = learned
+                    recv_bits[act] += f * powered[act]
+                    # Masking a sleeping tag's pending data now is the same
+                    # as masking it when it wakes: V only grows.
+                    pending &= ~silenced[:, None, :]
 
             # --- checking frame -----------------------------------------
             with obs.span("checking"):
                 has_pending = pending.any(axis=2)
                 chk_slots, chk_heard = _run_checking_frame_batch(
-                    network, has_pending, active, l_c, sent_bits, recv_bits
+                    network, has_pending, active, powered, l_c, sent_bits,
+                    recv_bits,
                 )
                 short_slots[act] += chk_slots[act]
             _append_stats(
@@ -685,14 +733,16 @@ def _batch_tag_major(
 
             finishing = act & ~chk_heard
             if finishing.any():
-                clean[finishing] = ~pending[finishing][:, reachable].any(
-                    axis=(1, 2)
-                )
+                clean[finishing] = ~pending[finishing][
+                    :, network.reachable_mask
+                ].any(axis=(1, 2))
                 active = act & chk_heard
                 pending[~active] = 0
 
     if active.any():
-        clean[active] = ~pending[active][:, reachable].any(axis=(1, 2))
+        clean[active] = ~pending[active][:, network.reachable_mask].any(
+            axis=(1, 2)
+        )
 
     return _finalize(
         f, reader_bitmap, rounds_run, short_slots, id_slots, sent_bits,
@@ -799,14 +849,17 @@ def _run_batch(
     picks_batch: Optional[List[np.ndarray]] = None,
     channel: Optional[Channel] = None,
     rngs: Optional[Sequence[np.random.Generator]] = None,
+    round_hook: Optional[RoundHook] = None,
 ) -> List[SessionResult]:
     """Route already-validated sessions to the slot-major or tag-major
     path under one ``session_batch`` span.
 
     The body of :func:`run_session_batch` without its input checks and
     ``ccm_batch_*`` call counters — the entry point of the single-session
-    ``"packed"`` engine, whose masks :func:`~repro.core.session.run_session`
-    has already validated.
+    ``"packed"`` and ``"scenario"`` engines, whose masks
+    :func:`~repro.core.session.run_session` has already validated.  A
+    ``round_hook`` (see :func:`_batch_tag_major`) always takes the
+    tag-major path.
     """
     channel = channel or PerfectChannel()
     if not getattr(channel, "supports_packed", False):
@@ -818,7 +871,8 @@ def _run_batch(
     n = network.n_tags
     with obs_metrics.OBS.span("session_batch"):
         if (
-            channel.is_perfect
+            round_hook is None
+            and channel.is_perfect
             and n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
         ):
             return _batch_slot_major(
@@ -831,4 +885,36 @@ def _run_batch(
             channel=channel,
             rngs=rngs,
             picks_batch=picks_batch,
+            round_hook=round_hook,
         )
+
+
+def _run_single(
+    network: Network,
+    masks: Sequence[int],
+    config: CCMConfig,
+    *,
+    channel: Optional[Channel] = None,
+    rng: Optional[np.random.Generator] = None,
+    ledger: Optional[EnergyLedger] = None,
+    round_hook: Optional[RoundHook] = None,
+) -> SessionResult:
+    """One validated session on the kernel (B = 1).
+
+    A caller-supplied ``ledger`` receives the session's bits; the sums
+    are integer-valued float64, so the totals are exact in any
+    association.
+    """
+    [result] = _run_batch(
+        network,
+        [[int(m) for m in masks]],
+        config,
+        channel=channel,
+        rngs=None if rng is None else [rng],
+        round_hook=round_hook,
+    )
+    if ledger is not None:
+        ledger.add_sent_bulk(result.ledger.bits_sent)
+        ledger.add_received_bulk(result.ledger.bits_received)
+        result.ledger = ledger
+    return result

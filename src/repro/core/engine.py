@@ -213,8 +213,6 @@ def run_checking_frame(
     has_pending: np.ndarray,
     l_c: int,
     ledger: EnergyLedger,
-    *,
-    active: Optional[np.ndarray] = None,
 ) -> Tuple[int, bool]:
     """Run the checking frame (Alg. 1 lines 14–24); shared by all engines.
 
@@ -223,19 +221,12 @@ def run_checking_frame(
     first slot in which it hears a tier-1 response.  Returns the number of
     slots actually executed and whether the reader heard anything.
 
-    ``active`` (scenario engines) restricts the wave to powered tags: an
-    unpowered tag neither responds nor relays the pulse, though its pending
-    flag still seeds the wave once it regains power in a later round.  With
-    ``active=None`` (all other engines) the code path is unchanged.
-
     Energy: each response is one sent bit; every tag that has not yet
     responded listens in each executed slot (one received bit per slot).
     Each tag responds at most once, so over the whole frame a tag's
     received bits are (slots executed) − (1 if it responded), posted as
     one bulk ledger update after the BFS wave instead of per slot —
     integer-valued float64 sums, so bit-identical to the per-slot tally.
-    (The ledger's own duty-cycle mask zeroes the listening term for
-    powered-down tags.)
     """
     n = network.n_tags
     tier1 = network.tier1_mask
@@ -243,14 +234,10 @@ def run_checking_frame(
 
     responded = np.zeros(n, dtype=bool)
     frontier = has_pending.copy()
-    if active is not None:
-        frontier = frontier & active
     executed = 0
     heard = False
     for _slot in range(1, l_c + 1):
         responders = frontier & ~responded
-        if active is not None:
-            responders = responders & active
         if not responders.any():
             # Nothing transmitted; the wave is dead, but per Alg. 1 the
             # reader keeps listening through the rest of the frame (it
@@ -442,9 +429,8 @@ class PackedSessionEngine:
     :func:`repro.core.batch.run_session_batch` as a one-trial batch, so
     single sessions and batched campaigns share one fast implementation
     of Algorithm 1.  A caller-supplied ``ledger`` receives the session's
-    bits through its recording methods (honouring any duty-cycle mask);
-    the sums are integer-valued float64, so the totals are exact in any
-    association.
+    bits; the sums are integer-valued float64, so the totals are exact
+    in any association.
     """
 
     name = "packed"
@@ -460,20 +446,11 @@ class PackedSessionEngine:
         ledger: Optional[EnergyLedger] = None,
     ) -> SessionResult:
         # Deferred: repro.core.batch imports this module's helpers.
-        from repro.core.batch import _run_batch
+        from repro.core.batch import _run_single
 
-        [result] = _run_batch(
-            network,
-            [[int(m) for m in masks]],
-            config,
-            channel=channel,
-            rngs=None if rng is None else [rng],
+        return _run_single(
+            network, masks, config, channel=channel, rng=rng, ledger=ledger
         )
-        if ledger is not None:
-            ledger.add_sent_bulk(result.ledger.bits_sent)
-            ledger.add_received_bulk(result.ledger.bits_received)
-            result.ledger = ledger
-        return result
 
 
 register_engine("bigint", BigintSessionEngine)

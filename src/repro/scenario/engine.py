@@ -1,9 +1,9 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
 :class:`ScenarioSessionEngine` is a :class:`~repro.core.engine.
-SessionEngine` (registered as ``"scenario"``) that runs a packed
-tag-major round loop — one session of the batch kernel's channel-driven
-path — with three per-round hooks:
+SessionEngine` (registered as ``"scenario"``) that runs one session on
+the batch kernel (:mod:`repro.core.batch`, B = 1) and hands it a
+per-round hook:
 
 1. **Reader motion** — at each round's start time (accumulated slot count
    × :class:`~repro.net.timing.SlotTiming`, Gen2-derived by default) the
@@ -12,19 +12,22 @@ path — with three per-round hooks:
    tiers are recomputed via :meth:`~repro.net.topology.Network.
    with_readers` — an O(n + edges) relink that shares the tag adjacency.
 2. **Power-cycling** — the :class:`~repro.scenario.power.LinkBudget`
-   turns each tag's distance-to-reader into a powered mask.  Unpowered
-   tags neither transmit, listen, learn, respond in checking frames, nor
-   accrue energy (the ledger's duty-cycle mask); their pending data is
-   *retained* until they regain power — data parks on a sleeping tag, it
-   does not vanish.
-3. **Journal** — when :attr:`journal` is set, one record per round with
-   the absolute time, reader position, powered count and relink flag.
+   turns each tag's distance-to-reader into the round's powered mask,
+   which the kernel applies: unpowered tags neither transmit, listen,
+   learn, respond in checking frames, nor accrue energy, and their
+   pending data is *retained* until they regain power — data parks on a
+   sleeping tag, it does not vanish.
+
+After the kernel returns, :attr:`ScenarioSessionEngine.journal` (when
+set) receives one record per round with the absolute time, reader
+position, powered count and relink flag.
 
 With the hooks disabled (no trajectory or a static one, no link budget —
-the default ``ScenarioConfig()``), every hook is skipped and the loop is
-the static tag-major loop verbatim: bit-identical bitmap, rounds, slots,
-round stats, and ledger floats — the static-equivalence pin the tests and
-CI smoke assert against ``run_session``.
+the default ``ScenarioConfig()``), the engine passes no hook and the
+session is routed like the ``"packed"`` engine's: bit-identical bitmap,
+rounds, slots, round stats and ledger floats, at slot-major speed on the
+perfect channel — the static-equivalence pin the tests and CI smoke
+assert against ``run_session``.
 
 A session that terminates while a *sleeping* reachable tag still holds
 pending data reports ``terminated_cleanly=False``: the reader cannot hear
@@ -35,26 +38,16 @@ the motion experiment measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bitmap import Bitmap
-from repro.core.engine import (
-    _word_counts,
-    masks_to_words,
-    register_engine,
-    run_checking_frame,
-    words_to_int,
-)
-from repro.core.session import (
-    CCMConfig,
-    RoundStats,
-    SessionResult,
-    default_checking_frame_length,
-)
-from repro.net.channel import Channel, PerfectChannel
+from repro.core.batch import _run_single
+from repro.core.engine import register_engine
+from repro.core.session import CCMConfig, SessionResult
+from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
+from repro.net.geometry import Point
 from repro.net.timing import (
     SlotCount,
     SlotTiming,
@@ -63,12 +56,15 @@ from repro.net.timing import (
 )
 from repro.net.topology import Network
 from repro.obs import metrics as obs_metrics
-from repro.scenario.channel import ScenarioChannel
 from repro.scenario.events import EventJournal
 from repro.scenario.power import LinkBudget
 from repro.scenario.trajectory import ReaderTrajectory
 
 __all__ = ["ScenarioConfig", "ScenarioSessionEngine"]
+
+#: Minimum reader displacement (m) along either axis that triggers a tier
+#: relink.
+MOVE_EPSILON_M = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,15 +92,12 @@ class ScenarioConfig:
     start_time_s:
         Scenario time at which this session's round 1 begins (operations
         later in a scenario start later on the shared timeline).
-    move_epsilon_m:
-        Minimum reader displacement that triggers a tier relink.
     """
 
     trajectory: Optional[ReaderTrajectory] = None
     link_budget: Optional[LinkBudget] = None
     timing: Optional[SlotTiming] = None
     start_time_s: float = 0.0
-    move_epsilon_m: float = 1e-9
 
     def is_static(self) -> bool:
         """True when both hooks are disabled (the equivalence-pin case)."""
@@ -114,7 +107,7 @@ class ScenarioConfig:
 
 
 class ScenarioSessionEngine:
-    """Packed tag-major engine with per-round motion/power hooks."""
+    """The batch kernel (B = 1) with per-round motion and power hooks."""
 
     name = "scenario"
 
@@ -138,214 +131,105 @@ class ScenarioSessionEngine:
     ) -> SessionResult:
         obs = obs_metrics.OBS
         scenario = self.scenario
-        inner = channel or PerfectChannel()
-        if not getattr(inner, "supports_packed", False):
-            raise ValueError(
-                f"channel {type(inner).__name__} does not implement the "
-                "packed-word interface the scenario engine drives; wrap a "
-                "packed-capable channel or use engine='bigint'"
-            )
-        chan = inner if isinstance(inner, ScenarioChannel) else ScenarioChannel(inner)
         timing = scenario.timing or default_slot_timing()
         trajectory = scenario.trajectory
         if trajectory is not None and trajectory.is_static:
             # A static trajectory elsewhere than the deployed reader still
             # needs one relink; after that it behaves like None.
-            start_pos = trajectory.position(scenario.start_time_s)
-            reader0 = network.readers[0]
-            if (
-                abs(start_pos.x - reader0.position.x) > scenario.move_epsilon_m
-                or abs(start_pos.y - reader0.position.y) > scenario.move_epsilon_m
-            ):
-                network = network.with_readers(
-                    [replace(reader0, position=start_pos)]
-                    + list(network.readers[1:])
-                )
+            network = _move_reader(
+                network, trajectory.position(scenario.start_time_s)
+            )
             trajectory = None
         budget = scenario.link_budget
         if budget is not None and budget.always_powered:
             budget = None
 
         n = network.n_tags
-        f = config.frame_size
-        ledger = ledger if ledger is not None else EnergyLedger(n)
-        l_c = config.checking_frame_length or default_checking_frame_length(
-            network
+        net = network
+        # Per round: (reader position, relinked, powered count or None).
+        log: List[Tuple[Point, bool, Optional[int]]] = []
+
+        def round_hook(
+            round_index: int, slots: SlotCount
+        ) -> Tuple[Network, Optional[np.ndarray]]:
+            nonlocal net
+            moved = False
+            if trajectory is not None:
+                with obs.span("scenario_motion"):
+                    t_round = scenario.start_time_s + slots.seconds(timing)
+                    relinked = _move_reader(net, trajectory.position(t_round))
+                    moved = relinked is not net
+                    net = relinked
+                if moved:
+                    obs.inc("scenario_relinks_total")
+            powered = n_powered = None
+            if budget is not None:
+                powered = budget.powered_mask(net.reader_distance)
+                n_powered = int(np.count_nonzero(powered))
+                obs.set_gauge("scenario_powered_tags", n_powered)
+            log.append((net.readers[0].position, moved, n_powered))
+            return net, powered
+
+        static = scenario.is_static()
+        result = _run_single(
+            network, masks, config, channel=channel, rng=rng, ledger=ledger,
+            round_hook=None if static else round_hook,
         )
-        max_rounds = config.max_rounds if config.max_rounds is not None else l_c
+        if static:
+            log = [(network.readers[0].position, False, None)] * result.rounds
 
-        with obs.span("setup"):
-            net = network
-            n_words = max(1, (f + 63) // 64)
-
-            pending = masks_to_words(masks, f)
-            known = pending.copy()
-            done = np.zeros((n, n_words), dtype=np.uint64)
-            silenced = np.zeros(n_words, dtype=np.uint64)
-            reader_bitmap = np.zeros(n_words, dtype=np.uint64)
-            iv_slots = indicator_vector_slots(f)
-
-        slots = SlotCount()
-        round_stats = []
-        terminated_cleanly = False
-        rounds_run = 0
-        relinks = 0
-        powered_fractions = []
-        min_powered = n
-        powered: Optional[np.ndarray] = None
-        pos = net.readers[0].position
-
-        try:
-            for round_index in range(1, max_rounds + 1):
-                rounds_run = round_index
-                round_span = obs.span("round")
-                round_span.__enter__()
-
-                # --- scenario hooks: motion, then power -----------------
-                t_round = scenario.start_time_s + slots.seconds(timing)
-                moved = False
-                if trajectory is not None:
-                    with obs.span("scenario_motion"):
-                        new_pos = trajectory.position(t_round)
-                        if (
-                            abs(new_pos.x - pos.x) > scenario.move_epsilon_m
-                            or abs(new_pos.y - pos.y) > scenario.move_epsilon_m
-                        ):
-                            net = net.with_readers(
-                                [replace(net.readers[0], position=new_pos)]
-                                + list(net.readers[1:])
-                            )
-                            pos = new_pos
-                            moved = True
-                            relinks += 1
-                            obs.inc("scenario_relinks_total")
-                if budget is not None:
-                    powered = budget.powered_mask(net.reader_distance)
-                    n_powered = int(np.count_nonzero(powered))
-                    powered_fractions.append(n_powered / n if n else 1.0)
-                    min_powered = min(min_powered, n_powered)
-                    ledger.set_active(powered)
-                    chan.set_active(powered)
-                    obs.set_gauge("scenario_powered_tags", n_powered)
-                if self.journal is not None:
-                    entry = {
-                        "round": round_index,
-                        "reader_x": pos.x,
-                        "reader_y": pos.y,
-                        "relinked": moved,
-                    }
-                    if powered is not None:
-                        entry["powered"] = int(np.count_nonzero(powered))
-                    self.journal.record(t_round, "round", **entry)
-
-                tier1 = net.tier1_mask
-                indptr, indices = net.indptr, net.indices
-
-                # --- data frame (tag-major packed loop) -----------------
-                with obs.span("data_frame"):
-                    transmit = pending & ~silenced
-                    if powered is not None:
-                        transmit[~powered] = 0
-                    tx_rows = transmit.any(axis=1)
-                    transmitting = int(np.count_nonzero(tx_rows))
-                    with obs.span("propagate"):
-                        heard = chan.propagate_packed(
-                            transmit, indptr, indices, rng
-                        )
-                    reader_busy = chan.reader_senses_packed(
-                        transmit, tier1, rng
-                    )
-
-                    sent = _word_counts(transmit).sum(axis=1)
-                    monitored = _word_counts(
-                        silenced | done | transmit
-                    ).sum(axis=1)
-                    ledger.add_sent_bulk(sent.astype(np.float64))
-                    ledger.add_received_bulk(
-                        (f - monitored).astype(np.float64)
-                    )
-                    slots += SlotCount(short_slots=f)
-
-                    # Knowledge update (half duplex + silencing).  heard is
-                    # zeroed for unpowered tags by the channel wrapper, so
-                    # sleeping tags learn nothing; their pending data is
-                    # retained below instead of being replaced.
-                    learned = heard & ~known & ~transmit & ~silenced
-                    known |= learned | transmit
-                    done |= transmit
-                    if powered is not None:
-                        new_pending = np.where(
-                            powered[:, None], learned, pending
-                        )
-                    else:
-                        new_pending = learned
-
-                # --- indicator vector -----------------------------------
-                bits_new = int(
-                    _word_counts(reader_busy & ~reader_bitmap).sum()
+        if self.journal is not None:
+            f = config.frame_size
+            iv_slots = (
+                indicator_vector_slots(f) if config.use_indicator_vector else 0
+            )
+            elapsed = SlotCount()
+            for stats, (pos, moved, n_powered) in zip(result.round_stats, log):
+                entry = {
+                    "round": stats.round_index,
+                    "reader_x": pos.x,
+                    "reader_y": pos.y,
+                    "relinked": moved,
+                }
+                if n_powered is not None:
+                    entry["powered"] = n_powered
+                self.journal.record(
+                    scenario.start_time_s + elapsed.seconds(timing),
+                    "round",
+                    **entry,
                 )
-                reader_bitmap |= reader_busy
-                if config.use_indicator_vector:
-                    with obs.span("indicator"):
-                        silenced = reader_bitmap.copy()
-                        slots += SlotCount(id_slots=iv_slots)
-                        ledger.add_received_to_all(float(f))
-                        # Masking retained (sleeping-tag) pending with the
-                        # new V is observationally identical to masking at
-                        # wake time: V only grows, and a woken tag applies
-                        # the then-current V before transmitting anyway.
-                        new_pending &= ~silenced
-                pending = new_pending
-
-                # --- checking frame -------------------------------------
-                with obs.span("checking"):
-                    has_pending = pending.any(axis=1)
-                    executed, reader_heard = run_checking_frame(
-                        net, has_pending, l_c, ledger, active=powered
-                    )
-                    slots += SlotCount(short_slots=executed)
-                round_span.__exit__(None, None, None)
-                round_stats.append(
-                    RoundStats(
-                        round_index=round_index,
-                        transmitting_tags=transmitting,
-                        bits_new_at_reader=bits_new,
-                        checking_slots_executed=executed,
-                        reader_heard_checking=reader_heard,
-                        pending_tags=int(has_pending.sum()),
-                    )
+                elapsed += SlotCount(
+                    short_slots=f + stats.checking_slots_executed,
+                    id_slots=iv_slots,
                 )
-                if not reader_heard:
-                    terminated_cleanly = not bool(
-                        pending[net.reachable_mask].any()
-                    )
-                    break
-            else:
-                terminated_cleanly = not bool(
-                    pending[net.reachable_mask].any()
-                )
-        finally:
-            # The ledger and wrapper may be shared across sessions; never
-            # leak this session's duty-cycle mask.
-            ledger.set_active(None)
-            chan.set_active(None)
 
+        counts = [c for _pos, _moved, c in log if c is not None]
         self.last_run_info = {
-            "relinks": relinks,
+            "relinks": sum(moved for _pos, moved, _c in log),
             "powered_fraction_mean": (
-                float(np.mean(powered_fractions)) if powered_fractions else 1.0
+                float(np.mean([c / n if n else 1.0 for c in counts]))
+                if counts
+                else 1.0
             ),
-            "min_powered": min_powered,
-            "end_time_s": scenario.start_time_s + slots.seconds(timing),
+            "min_powered": min(counts, default=n),
+            "end_time_s": scenario.start_time_s + result.slots.seconds(timing),
         }
-        return SessionResult(
-            bitmap=Bitmap(f, words_to_int(reader_bitmap)),
-            rounds=rounds_run,
-            slots=slots,
-            ledger=ledger,
-            round_stats=round_stats,
-            terminated_cleanly=terminated_cleanly,
-        )
+        return result
+
+
+def _move_reader(network: Network, position: Point) -> Network:
+    """``network`` relinked with ``readers[0]`` at ``position``, or
+    ``network`` itself when the reader moved no more than
+    :data:`MOVE_EPSILON_M` along either axis."""
+    reader = network.readers[0]
+    if (
+        abs(position.x - reader.position.x) <= MOVE_EPSILON_M
+        and abs(position.y - reader.position.y) <= MOVE_EPSILON_M
+    ):
+        return network
+    return network.with_readers(
+        [replace(reader, position=position)] + list(network.readers[1:])
+    )
 
 
 register_engine("scenario", ScenarioSessionEngine)

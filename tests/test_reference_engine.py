@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.batch as batch_mod
 from repro.core.reference import run_session_reference
-from repro.core.session import CCMConfig, run_session
+from repro.core.session import CCMConfig, _picks_to_masks, run_session
+from repro.net.channel import LossyChannel
 from repro.net.geometry import Point, uniform_disk
 from repro.net.topology import Network, PaperDeployment, Reader, paper_network
 from repro.protocols.transport import frame_picks
+from repro.scenario import LinkBudget, ScenarioConfig, ScenarioSessionEngine
 
 
 def assert_identical(fast, slow):
@@ -33,6 +35,15 @@ def assert_identical(fast, slow):
     assert len(fast.round_stats) == len(slow.round_stats)
     for a, b in zip(fast.round_stats, slow.round_stats):
         assert a == b
+
+
+def random_network(n, seed):
+    """n tags uniform in a 12 m disk around one reader (R = 12, r' = 5)."""
+    return Network.build(
+        uniform_disk(n, 12.0, seed=seed),
+        [Reader(Point(0, 0), 12.0, 5.0)],
+        tag_range=4.0,
+    )
 
 
 class TestHandBuiltTopologies:
@@ -135,12 +146,7 @@ class TestRandomTopologies:
         self, adj_bytes, n, seed, frame, prob, use_indicator_vector,
         max_rounds,
     ):
-        positions = uniform_disk(n, 12.0, seed=seed)
-        net = Network.build(
-            positions,
-            [Reader(Point(0, 0), 12.0, 5.0)],
-            tag_range=4.0,
-        )
+        net = random_network(n, seed)
         picks = frame_picks(net.tag_ids, frame, prob, seed)
         config = CCMConfig(
             frame_size=frame,
@@ -150,6 +156,75 @@ class TestRandomTopologies:
         with mock.patch.object(batch_mod, "SLOT_MAJOR_MAX_ADJ_BYTES", adj_bytes):
             fast = run_session(net, picks, config=config, engine="packed")
         assert_identical(fast, run_session_reference(net, picks, config))
+
+    # The scenario engine with the default (static) config is the same
+    # session on the batch kernel: equal to bigint on both channels.
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    @given(
+        n=st.integers(min_value=10, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+        frame=st.integers(min_value=4, max_value=48),
+        prob=st.floats(min_value=0.0, max_value=1.0),
+        use_indicator_vector=st.booleans(),
+        max_rounds=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_hypothesis_scenario_vs_bigint(
+        self, loss, n, seed, frame, prob, use_indicator_vector, max_rounds,
+    ):
+        net = random_network(n, seed)
+        picks = frame_picks(net.tag_ids, frame, prob, seed)
+        config = CCMConfig(
+            frame_size=frame,
+            use_indicator_vector=use_indicator_vector,
+            max_rounds=max_rounds,
+        )
+
+        def one(engine):
+            return run_session(
+                net, picks, config=config,
+                channel=LossyChannel(loss, frame_size_hint=frame),
+                rng=np.random.default_rng(seed), engine=engine,
+            )
+
+        ours, theirs = one("scenario"), one("bigint")
+        assert_identical(ours, theirs)
+        assert ours.ledger.bits_sent.tobytes() == theirs.ledger.bits_sent.tobytes()
+        assert (
+            ours.ledger.bits_received.tobytes()
+            == theirs.ledger.bits_received.tobytes()
+        )
+
+    # Power-cycling on the perfect channel with a fixed reader: a tag the
+    # link budget never powers accrues nothing, and power can only remove
+    # slots from the Theorem-1 bitmap (the union of reachable tags' picks).
+    @given(
+        n=st.integers(min_value=10, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**31),
+        frame=st.integers(min_value=4, max_value=48),
+        prob=st.floats(min_value=0.0, max_value=1.0),
+        threshold_dbm=st.floats(min_value=-20.0, max_value=0.0),
+        path_loss_exponent=st.floats(min_value=1.5, max_value=3.5),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_hypothesis_link_budget_properties(
+        self, n, seed, frame, prob, threshold_dbm, path_loss_exponent,
+    ):
+        net = random_network(n, seed)
+        picks = frame_picks(net.tag_ids, frame, prob, seed)
+        budget = LinkBudget(
+            threshold_dbm=threshold_dbm, path_loss_exponent=path_loss_exponent
+        )
+        result = ScenarioSessionEngine(ScenarioConfig(link_budget=budget)).run(
+            net, _picks_to_masks(picks, frame), CCMConfig(frame_size=frame)
+        )
+        never = ~budget.powered_mask(net.reader_distance)
+        assert not result.ledger.bits_sent[never].any()
+        assert not result.ledger.bits_received[never].any()
+        theorem1 = {
+            p for p, reach in zip(picks, net.reachable_mask) if reach and p >= 0
+        }
+        assert set(result.bitmap.indices()) <= theorem1
 
     def test_validation_matches(self, star_network):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 """Tests for repro.scenario — trajectories, power, events, the scenario
 engine's static-equivalence pin, and run_scenario determinism."""
 
+import hashlib
 import math
+from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core.session import CCMConfig, run_session
+import repro.core.batch as batch_mod
+from repro.core.session import CCMConfig, _picks_to_masks, run_session
 from repro.net.channel import LossyChannel, PerfectChannel
 from repro.net.energy import EnergyLedger
 from repro.net.geometry import Point
@@ -16,7 +20,6 @@ from repro.scenario import (
     EventJournal,
     EventScheduler,
     LinkBudget,
-    ScenarioChannel,
     ScenarioConfig,
     ScenarioSessionEngine,
     StaticTrajectory,
@@ -25,6 +28,7 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.sim.rng import TagHasher
+from repro.store.canonical import canonical_json
 
 
 def small_network(n=400, r=6.0, seed=11):
@@ -165,42 +169,86 @@ class TestLinkBudget:
             LinkBudget(reference_m=0.0)
 
 
-class TestScenarioChannel:
-    def test_delegates_when_inactive(self):
-        net = small_network(n=120)
-        chan = ScenarioChannel(PerfectChannel())
-        masks = np.random.default_rng(0).integers(
-            0, 2**63, size=(net.n_tags, 2), dtype=np.uint64
+class TestPowerMask:
+    """The kernel's powered mask, driven through the scenario engine."""
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_all_powered_mask_is_identity(self, loss):
+        # A budget that powers every tag still runs the hook (tag-major,
+        # all-True mask); every masking step must then be the identity.
+        net = small_network(n=200)
+        f = 65
+        picks = picks_for(net, f)
+        budget = LinkBudget(threshold_dbm=-200.0)
+        assert budget.powered_mask(net.reader_distance).all()
+
+        def one(engine):
+            return engine.run(
+                net, _picks_to_masks(picks, f), CCMConfig(frame_size=f),
+                channel=LossyChannel(loss, frame_size_hint=f),
+                rng=np.random.default_rng(3),
+            )
+
+        ours = one(ScenarioSessionEngine(ScenarioConfig(link_budget=budget)))
+        theirs = one(ScenarioSessionEngine())
+        assert ours.bitmap == theirs.bitmap
+        assert ours.round_stats == theirs.round_stats
+        assert (
+            ours.ledger.bits_received.tobytes()
+            == theirs.ledger.bits_received.tobytes()
         )
-        heard = chan.propagate_packed(masks, net.indptr, net.indices, None)
-        plain = PerfectChannel().propagate_packed(
-            masks, net.indptr, net.indices, None
-        )
-        assert np.array_equal(heard, plain)
 
     def test_inactive_tags_silent_and_deaf(self):
-        net = small_network(n=120)
-        chan = ScenarioChannel(PerfectChannel())
-        active = np.zeros(net.n_tags, dtype=bool)
-        active[: net.n_tags // 2] = True
-        chan.set_active(active)
-        masks = np.full((net.n_tags, 2), 3, dtype=np.uint64)
-        heard = chan.propagate_packed(masks, net.indptr, net.indices, None)
-        # Sleeping tags hear nothing...
-        assert not heard[~active].any()
-        # ...and transmit nothing: the reader senses only awake tier-1 tags.
-        busy = chan.reader_senses_packed(masks, net.tier1_mask, None)
-        only_awake = PerfectChannel().reader_senses_packed(
-            np.where(active[:, None], masks, np.uint64(0)),
-            net.tier1_mask,
-            None,
+        net = small_network(n=300)
+        f = 65
+        budget = LinkBudget(threshold_dbm=-10.0)
+        awake = budget.powered_mask(net.reader_distance)
+        assert awake.any() and not awake.all()
+        engine = ScenarioSessionEngine(ScenarioConfig(link_budget=budget))
+        picks = picks_for(net, f)
+        result = engine.run(
+            net, _picks_to_masks(picks, f), CCMConfig(frame_size=f)
         )
-        assert np.array_equal(busy, only_awake)
+        # Sleeping tags transmit nothing: every busy slot was picked by an
+        # awake tag (the reader never moves, so the mask never changes)...
+        awake_picks = {p for p, a in zip(picks, awake) if a and p >= 0}
+        assert set(result.bitmap.indices()) <= awake_picks
+        assert not result.ledger.bits_sent[~awake].any()
+        assert not result.ledger.bits_received[~awake].any()
+        # ...and learn nothing: when only awake tags pick and no indicator
+        # vector silences what they send, no sleeping tag ever holds data.
+        picks = [p if a else -1 for p, a in zip(picks, awake)]
+        result = engine.run(
+            net, _picks_to_masks(picks, f),
+            CCMConfig(frame_size=f, use_indicator_vector=False),
+        )
+        assert all(
+            s.pending_tags <= int(awake.sum()) for s in result.round_stats
+        )
+        assert result.terminated_cleanly
 
-    def test_not_perfect_keeps_wrapper_off_fast_path(self):
-        # auto engine routing special-cases exact channel types; the
-        # wrapper must never masquerade as one of them.
-        assert not ScenarioChannel(PerfectChannel()).is_perfect
+    def test_routing_static_slot_major_dynamic_tag_major(self):
+        net = small_network(n=200)
+        f = 65
+        masks = _picks_to_masks(picks_for(net, f), f)
+        config = CCMConfig(frame_size=f)
+        with mock.patch.object(
+            batch_mod, "_batch_tag_major",
+            side_effect=AssertionError("static config left slot-major"),
+        ):
+            static = ScenarioSessionEngine().run(net, masks, config)
+        assert static.bitmap == run_session(
+            net, picks_for(net, f), config=config, engine="packed"
+        ).bitmap
+
+        dynamic = ScenarioSessionEngine(
+            ScenarioConfig(link_budget=LinkBudget(threshold_dbm=-22.0))
+        )
+        with mock.patch.object(
+            batch_mod, "_batch_tag_major", wraps=batch_mod._batch_tag_major
+        ) as tag_major:
+            dynamic.run(net, masks, config)
+        assert tag_major.call_count == 1
 
 
 class TestWithReaders:
@@ -281,8 +329,6 @@ class TestStaticEquivalencePin:
                 link_budget=ALWAYS_POWERED,
             )
         )
-        from repro.core.session import _picks_to_masks
-
         ours = engine.run(net, _picks_to_masks(picks, f), config)
         theirs = run_session(net, picks, config=config, engine="packed")
         assert ours.bitmap == theirs.bitmap
@@ -316,8 +362,6 @@ class TestScenarioEngineDynamics:
         net = small_network(n=250)
         f = 65
         picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
         journal = EventJournal()
         engine = ScenarioSessionEngine(
             ScenarioConfig(
@@ -339,8 +383,6 @@ class TestScenarioEngineDynamics:
         net = small_network(n=250)
         f = 65
         picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
         budget = LinkBudget(threshold_dbm=-10.0)  # tiny powered radius
         radius = budget.powered_radius_m()
         engine = ScenarioSessionEngine(ScenarioConfig(link_budget=budget))
@@ -356,8 +398,6 @@ class TestScenarioEngineDynamics:
         net = small_network(n=250)
         f = 65
         picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
         engine = ScenarioSessionEngine(
             ScenarioConfig(link_budget=LinkBudget(threshold_dbm=-5.0))
         )
@@ -367,20 +407,32 @@ class TestScenarioEngineDynamics:
         assert not result.terminated_cleanly
 
     def test_shared_ledger_mask_never_leaks(self):
+        """Two runs on one shared ledger sum to the two separate runs: the
+        first run's power mask does not gate the second's bits."""
         net = small_network(n=150)
         f = 65
-        picks = picks_for(net, f)
-        from repro.core.session import _picks_to_masks
-
-        ledger = EnergyLedger(net.n_tags)
-        engine = ScenarioSessionEngine(
-            ScenarioConfig(link_budget=LinkBudget(threshold_dbm=-10.0))
+        masks = _picks_to_masks(picks_for(net, f), f)
+        config = CCMConfig(frame_size=f)
+        engines = [
+            ScenarioSessionEngine(
+                ScenarioConfig(link_budget=LinkBudget(threshold_dbm=-10.0))
+            ),
+            ScenarioSessionEngine(),
+        ]
+        shared = EnergyLedger(net.n_tags)
+        for engine in engines:
+            engine.run(net, masks, config, ledger=shared)
+        separate = [engine.run(net, masks, config).ledger for engine in engines]
+        assert np.array_equal(
+            shared.bits_sent, separate[0].bits_sent + separate[1].bits_sent
         )
-        engine.run(
-            net, _picks_to_masks(picks, f), CCMConfig(frame_size=f),
-            ledger=ledger,
+        assert np.array_equal(
+            shared.bits_received,
+            separate[0].bits_received + separate[1].bits_received,
         )
-        assert ledger.active_mask is None
+        assert not np.array_equal(
+            separate[0].bits_received, separate[1].bits_received
+        )
 
 
 class TestRunScenarioDeterminism:
@@ -477,6 +529,77 @@ class TestRunScenarioDeterminism:
         # The fingerprint must react to the scenario package existing —
         # at minimum, it's computed without error and is stable.
         assert code_fingerprint() == code_fingerprint()
+
+
+def _scenario_digest(journal, metrics, ledger, sessions):
+    """sha256 of a run's journal NDJSON, canonical metrics JSON, ledger
+    bytes, and every session's bitmap and round stats."""
+    h = hashlib.sha256()
+    h.update(journal.to_ndjson().encode("utf-8") + b"\0")
+    h.update(canonical_json(metrics).encode("utf-8") + b"\0")
+    h.update(ledger.bits_sent.tobytes() + ledger.bits_received.tobytes())
+    for session in sessions:
+        h.update(b"\0" + canonical_json({
+            "bitmap": hex(session.bitmap.bits),
+            "round_stats": [asdict(r) for r in session.round_stats],
+        }).encode("utf-8"))
+    return h.hexdigest()
+
+
+class TestDynamicScenarioDigests:
+    """Fixed outputs of dynamic scenarios (motion and power-cycling).
+
+    The digests were captured with :func:`_scenario_digest` from the
+    scenario engine's own round loop, before it became per-round hooks on
+    the batch kernel; any change to them is a change in behaviour.
+    """
+
+    def _run(self, **kwargs):
+        r = run_scenario(**kwargs)
+        return _scenario_digest(
+            r.journal, r.metrics(), r.ledger, r.session_results
+        )
+
+    def test_ci_uav_scenario(self):
+        # The CI smoke's `repro scenario run` command.
+        assert self._run(
+            n_tags=600, frame_size=129, n_operations=2, trajectory="uav",
+            speed_mps=4.0, power_threshold_dbm=-22.0, max_step_m=1.0,
+            seed=11,
+        ) == "5b458986ee4dd35cbce2aff8a6d0a734cc5bdda220332832823cb537d040d90f"
+
+    def test_lossy_aisle_with_relocation(self):
+        # Channel draws run through the power mask.
+        assert self._run(
+            n_tags=400, frame_size=97, n_operations=2, trajectory="aisle",
+            power_threshold_dbm=-22.0, loss=0.2, relocate_frac=0.1, seed=3,
+        ) == "6971a5033d4e958bb74222c28f8dcffcad7d9629e206cf66a84197ea830eac75"
+
+    def test_engine_aisle_link_budget_no_indicator(self):
+        net = small_network(n=250)
+        f = 65
+        engine = ScenarioSessionEngine(
+            ScenarioConfig(
+                trajectory=make_trajectory(
+                    "aisle", field_radius=30.0, speed_mps=2000.0
+                ),
+                link_budget=LinkBudget(threshold_dbm=-22.0),
+            )
+        )
+        engine.journal = EventJournal()
+        result = engine.run(
+            net, _picks_to_masks(picks_for(net, f), f),
+            CCMConfig(frame_size=f, use_indicator_vector=False, max_rounds=2),
+        )
+        metrics = {
+            **engine.last_run_info,
+            "rounds": result.rounds,
+            "total_slots": result.total_slots,
+            "clean": result.terminated_cleanly,
+        }
+        assert _scenario_digest(
+            engine.journal, metrics, result.ledger, [result]
+        ) == "44759f783cacecf8fa37de1a12a62aee37debfffd9e7b602915779875cc2c9da"
 
 
 class TestScenarioMotionExperiment:
