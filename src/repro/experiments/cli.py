@@ -615,18 +615,13 @@ def cmd_cache_ls(args: argparse.Namespace) -> None:
     store = _cache_store(args)
     print(f"cache {store.root}")
     header = (
-        f"{'key':<14}{'trial':<40}{'seed':>12}{'engine':>8}"
-        f"{'fmt':>6}{'bytes':>9}"
+        f"{'key':<14}{'trial':<40}{'seed':>12}{'engine':>8}{'bytes':>9}"
     )
     rows = 0
-    by_format: dict = {}
     for entry in store.entries():
         if rows == 0:
             print(header)
         rows += 1
-        per_fmt = by_format.setdefault(entry.fmt, [0, 0])
-        per_fmt[0] += 1
-        per_fmt[1] += entry.size_bytes
         fields = entry.key_fields
         trial_type = entry.trial_type.rsplit(".", 1)[-1]
         params = (fields.get("trial") or {}).get("params") or {}
@@ -638,31 +633,15 @@ def cmd_cache_ls(args: argparse.Namespace) -> None:
             f"{(trial_type + '(' + detail + ')')[:39]:<40}"
             f"{fields.get('seed', '?'):>12}"
             f"{str(fields.get('engine')):>8}"
-            f"{entry.fmt:>6}"
             f"{entry.size_bytes:>9}"
         )
     if rows == 0:
         print("(no entries)")
-    else:
-        summary = "  ".join(
-            f"{fmt}: {count} ({_human_bytes(size)})"
-            for fmt, (count, size) in sorted(by_format.items())
-        )
-        print(f"formats: {summary}")
     # rglob, not glob: namespaced journals (e.g. repro serve's
-    # campaigns/jobs/<job-id>/) live in subdirectories.  Both journal
-    # codecs are listed; a campaign with journals in both tiers (e.g.
-    # resumed across a codec switch) shows once — load() merges them.
+    # campaigns/jobs/<job-id>/) live in subdirectories.
     campaigns = []
     if store.campaigns_dir.is_dir():
-        seen = set()
-        for pattern in ("*.binj", "*.ndjson"):
-            for path in store.campaigns_dir.rglob(pattern):
-                ident = (path.parent, path.stem)
-                if ident not in seen:
-                    seen.add(ident)
-                    campaigns.append(path)
-        campaigns.sort()
+        campaigns = sorted(store.campaigns_dir.rglob("*.binj"))
     if campaigns:
         import pathlib
 
@@ -700,11 +679,6 @@ def cmd_cache_stats(args: argparse.Namespace) -> None:
     print(f"cache {stats.root}")
     print(f"  entries:   {stats.n_entries}")
     print(f"  size:      {_human_bytes(stats.total_bytes)}")
-    for fmt, per_fmt in sorted(stats.by_format.items()):
-        print(
-            f"    {fmt}: {per_fmt['entries']} entries "
-            f"({_human_bytes(per_fmt['bytes'])})"
-        )
     print(f"  campaigns: {stats.n_campaigns}")
     if stats.oldest_utc:
         print(f"  oldest:    {stats.oldest_utc}")
@@ -729,23 +703,6 @@ def cmd_cache_verify(args: argparse.Namespace) -> None:
     )
     if bad:
         raise SystemExit(1)
-
-
-def cmd_cache_migrate(args: argparse.Namespace) -> None:
-    store = _cache_store(args)
-    outcome = store.migrate(dry_run=args.dry_run)
-    verb = "would migrate" if args.dry_run else "migrated"
-    print(
-        f"cache migrate: {verb} {outcome['migrated']} legacy .json "
-        f"record(s), skipped {outcome['skipped']}"
-    )
-    if outcome["migrated"]:
-        before, after = outcome["bytes_before"], outcome["bytes_after"]
-        ratio = before / after if after else float("inf")
-        print(
-            f"  {_human_bytes(before)} json -> {_human_bytes(after)} bin "
-            f"({ratio:.1f}x smaller)"
-        )
 
 
 def cmd_cache_gc(args: argparse.Namespace) -> None:
@@ -1299,16 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop entries older than this age (e.g. 30d, 12h, 3600s)",
     )
     gc.set_defaults(func=cmd_cache_gc)
-    migrate = cache_sub.add_parser(
-        "migrate", parents=[cache_common],
-        help="rewrite legacy .json objects as repro-record-bin-v1 .bin "
-             "(atomic, lock-guarded, round-trip-checked)",
-    )
-    migrate.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would be migrated without touching the store",
-    )
-    migrate.set_defaults(func=cmd_cache_migrate)
     serve = sub.add_parser(
         "serve",
         help="run the long-running campaign service (job-queue HTTP API)",

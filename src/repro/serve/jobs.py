@@ -30,8 +30,7 @@ Mechanics:
   *identical* campaign never interleave in one journal file.
 * **Crash-safe records.**  Every state transition rewrites
   ``<store>/serve/jobs/<id>.bin`` atomically — a ``repro-job-record-v1``
-  document inside a ``repro-record-bin-v1`` container (legacy ``.json``
-  records from older servers recover transparently);
+  document inside a ``repro-record-bin-v1`` container;
   :meth:`JobManager.recover` re-enqueues every job a previous process
   left queued, running or interrupted, with ``resume=True`` — re-run
   trials hit the store, so a drained-and-restarted job reproduces its
@@ -427,26 +426,12 @@ class JobManager:
         recovered: List[str] = []
         if not self.jobs_dir.is_dir():
             return recovered
-        # Binary records shadow legacy JSON ones for the same job id
-        # (a server recovered from a pre-binary store persists .bin and
-        # drops the stale .json on its next transition).
-        paths: Dict[str, pathlib.Path] = {}
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            paths[path.stem] = path
-        for path in sorted(self.jobs_dir.glob("*.bin")):
-            paths[path.stem] = path
         records = []
-        for path in paths.values():
-            if path.suffix == ".bin":
-                try:
-                    record, _ = read_record_path(path)
-                except (OSError, BinaryFormatError):
-                    continue  # torn write at the kill point: drop it
-            else:
-                try:
-                    record = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    continue
+        for path in sorted(self.jobs_dir.glob("*.bin")):
+            try:
+                record, _ = read_record_path(path)
+            except (OSError, BinaryFormatError):
+                continue  # torn write at the kill point: drop it
             if not isinstance(record, dict):
                 continue
             if record.get("schema") != RECORD_SCHEMA:
@@ -749,13 +734,6 @@ class JobManager:
                 record["state"] = state
             write_record(fh, record, RECORD_TYPE_JOB, allow_nan=True)
         os.replace(tmp, path)
-        # Drop the legacy record a pre-binary server may have left for
-        # this id, so recover() never resurrects a stale state.
-        legacy = self.jobs_dir / f"{job.id}.json"
-        try:
-            legacy.unlink()
-        except OSError:
-            pass
 
 
 def _campaign_to_dict(result) -> Dict[str, Any]:

@@ -14,9 +14,8 @@ that function on disk:
 * **Value** — the trial's metric dict plus a RunManifest-style
   provenance record (when/where/what revision computed it), one
   ``repro-record-bin-v1`` container per trial under
-  ``<root>/objects/<k[:2]>/<k>.bin`` (legacy ``.json`` objects remain a
-  readable fallback tier; see :meth:`ResultStore.migrate`), written
-  atomically (temp file + rename) so a SIGKILL never leaves a torn entry.
+  ``<root>/objects/<k[:2]>/<k>.bin``, written atomically (temp file +
+  rename) so a SIGKILL never leaves a torn entry.
 * **Root** — ``~/.cache/repro`` by default; override with the
   ``REPRO_CACHE_DIR`` environment variable or ``--cache-dir``.
 
@@ -45,7 +44,6 @@ import contextlib
 import dataclasses
 import datetime
 import importlib
-import json
 import os
 import pathlib
 import random
@@ -58,10 +56,9 @@ from repro.store.binary import (
     RECORD_TYPE_TRIAL,
     BinaryFormatError,
     decode_record,
-    encode_record,
     write_record,
 )
-from repro.store.canonical import canonical_bytes, canonical_json, digest
+from repro.store.canonical import canonical_bytes, digest
 
 try:  # POSIX advisory locks; degrade to O_EXCL spinning elsewhere
     import fcntl as _fcntl
@@ -73,7 +70,6 @@ PathLike = Union[str, pathlib.Path]
 __all__ = [
     "RESULT_FORMAT",
     "KEY_SCHEMA",
-    "OBJECT_SUFFIX",
     "CacheEntry",
     "ResultStore",
     "StoreLock",
@@ -91,9 +87,9 @@ RESULT_FORMAT = "repro-trial-result-v1"
 #: collide with old entries.
 KEY_SCHEMA = "repro-trial-key-v1"
 
-#: Object file suffix per storage format.  ``bin`` is what new writes
-#: use; ``json`` is the legacy tier that stays readable forever.
-OBJECT_SUFFIX = {"bin": ".bin", "json": ".json"}
+#: Prefix of ``put``'s in-flight temp files; enumeration and ``gc``
+#: skip them, since a campaign writer may be about to rename one.
+_TEMP_PREFIX = ".tmp-"
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -160,7 +156,6 @@ class CacheEntry:
     metrics: Dict[str, float]
     provenance: Dict[str, Any]
     size_bytes: int = 0
-    fmt: str = "json"
 
     @property
     def trial_type(self) -> str:
@@ -176,7 +171,6 @@ class StoreStats:
     n_entries: int = 0
     total_bytes: int = 0
     by_trial_type: Dict[str, int] = field(default_factory=dict)
-    by_format: Dict[str, Dict[str, int]] = field(default_factory=dict)
     n_campaigns: int = 0
     oldest_utc: Optional[str] = None
     newest_utc: Optional[str] = None
@@ -287,17 +281,13 @@ class ResultStore:
     Layout under ``root``::
 
         objects/<key[:2]>/<key>.bin    one repro-record-bin-v1 trial record
-        objects/<key[:2]>/<key>.json   legacy canonical-JSON record
-                                       (readable fallback tier; new
-                                       writes are always binary)
         campaigns/<key>.binj           campaign checkpoint journals
-        campaigns/<key>.ndjson         legacy NDJSON journals
 
-    Keys are unchanged by the binary format: they are still the SHA-256
-    of canonical JSON, so a record's address — and cross-host dedupe —
-    is identical whichever format it happens to be stored in.  Reads
-    prefer ``.bin`` and fall back to ``.json``; ``migrate()`` rewrites
-    the legacy tier in place.
+    Keys are the SHA-256 of canonical JSON, not of the stored bytes, so
+    a record's address — and cross-host dedupe — does not depend on the
+    payload encoding.  Other files under ``objects/`` (such as the
+    ``.json`` records of stores written before 1.9) are never read;
+    only ``gc`` removes them.
 
     All writes are atomic; a key's record, once written, never changes
     (same key ⇒ same content), so concurrent campaigns can share a store
@@ -306,20 +296,14 @@ class ResultStore:
 
     def __init__(self, root: Optional[PathLike] = None):
         self.root = pathlib.Path(root) if root is not None else default_cache_dir()
+        self.objects_dir = self.root / "objects"
+        self.campaigns_dir = self.root / "campaigns"
 
     # -- paths ---------------------------------------------------------------
 
-    @property
-    def objects_dir(self) -> pathlib.Path:
-        return self.root / "objects"
-
-    @property
-    def campaigns_dir(self) -> pathlib.Path:
-        return self.root / "campaigns"
-
-    def path_for(self, key: str, fmt: str = "bin") -> pathlib.Path:
-        """Where ``key``'s record lives in storage format ``fmt``."""
-        return self.objects_dir / key[:2] / f"{key}{OBJECT_SUFFIX[fmt]}"
+    def path_for(self, key: str) -> pathlib.Path:
+        """Where ``key``'s record lives."""
+        return self.objects_dir / key[:2] / f"{key}.bin"
 
     def lock(self) -> StoreLock:
         """The store's advisory maintenance lock (see :class:`StoreLock`)."""
@@ -339,23 +323,7 @@ class ResultStore:
         return None if record is None else record.metrics
 
     def get_record(self, key: str) -> Optional[CacheEntry]:
-        # Binary tier first (the fast path), legacy JSON as fallback.
-        path = self.path_for(key, "bin")
-        try:
-            data = path.read_bytes()
-        except OSError:
-            data = None
-        if data is not None:
-            entry = self._parse_binary(key, path, data)
-            if entry is not None and entry.key == key:
-                return entry
-            return None  # a corrupt .bin shadows nothing: miss
-        path = self.path_for(key, "json")
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        entry = self._parse(key, path, raw)
+        entry = self._load(self.path_for(key))
         if entry is None or entry.key != key:
             return None
         return entry
@@ -366,21 +334,14 @@ class ResultStore:
         key_fields: Dict[str, Any],
         metrics: Dict[str, float],
         provenance: Optional[Dict[str, Any]] = None,
-        *,
-        fmt: str = "bin",
     ) -> pathlib.Path:
         """Write one trial record atomically; a no-op if already present.
 
-        New records are ``repro-record-bin-v1`` containers by default;
-        ``fmt="json"`` writes the legacy canonical-JSON form (used by
-        format-comparison benchmarks and for building fixture stores).
-        A key already present in *either* format is left alone — same
-        key means same content, whatever the encoding.
+        Returns the record's path.  Same key means same content, so an
+        existing record is left alone.
         """
-        path = self.path_for(key, fmt)
-        if path.exists() or self.path_for(
-            key, "json" if fmt == "bin" else "bin"
-        ).exists():
+        path = self.path_for(key)
+        if path.exists():
             return path
         record = {
             "format": RESULT_FORMAT,
@@ -391,15 +352,11 @@ class ResultStore:
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=OBJECT_SUFFIX[fmt]
+            dir=str(path.parent), prefix=_TEMP_PREFIX, suffix=".bin"
         )
         try:
-            if fmt == "bin":
-                with os.fdopen(fd, "wb") as fh:
-                    write_record(fh, record, RECORD_TYPE_TRIAL)
-            else:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(record) + "\n")
+            with os.fdopen(fd, "wb") as fh:
+                write_record(fh, record, RECORD_TYPE_TRIAL)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -438,46 +395,35 @@ class ResultStore:
     # -- enumeration ---------------------------------------------------------
 
     def entries(self) -> Iterator[CacheEntry]:
-        """All parseable records, in key order.
-
-        Traverses both storage tiers; a key present in both (e.g. a
-        store snapshotted mid-migration) yields its binary record only.
-        """
-        if not self.objects_dir.is_dir():
-            return
-        paths: Dict[str, pathlib.Path] = {}
-        for path in self.objects_dir.glob("*/*.json"):
-            paths[path.stem] = path
-        for path in self.objects_dir.glob("*/*.bin"):
-            paths[path.stem] = path  # binary shadows legacy JSON
-        for key in sorted(paths):
-            entry = self._load_path(key, paths[key])
+        """All parseable records, in key order."""
+        for path in sorted(self._object_files("*.bin"), key=lambda p: p.stem):
+            entry = self._load(path)
             if entry is not None:
                 yield entry
 
-    def _load_path(
-        self, key: str, path: pathlib.Path
-    ) -> Optional[CacheEntry]:
-        """Parse whichever format ``path``'s suffix says it holds."""
-        if path.suffix == ".bin":
-            try:
-                data = path.read_bytes()
-            except OSError:
-                return None
-            return self._parse_binary(key, path, data)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        return self._parse(key, path, raw)
+    def _object_files(self, pattern: str = "*") -> Iterator[pathlib.Path]:
+        """Files under ``objects/*/`` matching ``pattern``, minus ``put``'s
+        in-flight temp files."""
+        if not self.objects_dir.is_dir():
+            return
+        for path in self.objects_dir.glob(f"*/{pattern}"):
+            if not path.name.startswith(_TEMP_PREFIX):
+                yield path
 
-    def _parse_binary(
-        self, key: str, path: pathlib.Path, data: bytes
-    ) -> Optional[CacheEntry]:
-        """A ``.bin`` object decoded, or ``None`` if corrupt (a miss)."""
+    def _load(self, path: pathlib.Path) -> Optional[CacheEntry]:
+        """The record at ``path``, or ``None`` if missing or corrupt (a
+        miss): the stored key must match a digest of the stored key
+        fields."""
         try:
+            # One raw read of the whole (immutable, atomically renamed)
+            # file: a hit is on every resumed trial's path.
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
             record, record_type = decode_record(data)
-        except BinaryFormatError:
+        except (OSError, BinaryFormatError):
             return None
         if (
             record_type != RECORD_TYPE_TRIAL
@@ -493,30 +439,6 @@ class ResultStore:
             metrics=record.get("metrics") or {},
             provenance=record.get("provenance") or {},
             size_bytes=len(data),
-            fmt="bin",
-        )
-
-    def _parse(
-        self, key: str, path: pathlib.Path, raw: str
-    ) -> Optional[CacheEntry]:
-        try:
-            record = json.loads(raw)
-        except ValueError:
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != RESULT_FORMAT
-            or record.get("key") != digest(record.get("key_fields"))
-        ):
-            return None
-        return CacheEntry(
-            key=record["key"],
-            path=path,
-            key_fields=record["key_fields"],
-            metrics=record.get("metrics") or {},
-            provenance=record.get("provenance") or {},
-            size_bytes=len(raw.encode("utf-8")),
-            fmt="json",
         )
 
     # -- maintenance ---------------------------------------------------------
@@ -530,11 +452,6 @@ class ResultStore:
             stats.total_bytes += entry.size_bytes
             t = entry.trial_type
             stats.by_trial_type[t] = stats.by_trial_type.get(t, 0) + 1
-            per_fmt = stats.by_format.setdefault(
-                entry.fmt, {"entries": 0, "bytes": 0}
-            )
-            per_fmt["entries"] += 1
-            per_fmt["bytes"] += entry.size_bytes
             created = entry.provenance.get("created_utc")
             if isinstance(created, str) and created:
                 oldest = created if oldest is None else min(oldest, created)
@@ -544,9 +461,7 @@ class ResultStore:
         if self.campaigns_dir.is_dir():
             # rglob: job-namespaced journals live in subdirectories.
             stats.n_campaigns = sum(
-                1
-                for pattern in ("*.ndjson", "*.binj")
-                for _ in self.campaigns_dir.rglob(pattern)
+                1 for _ in self.campaigns_dir.rglob("*.binj")
             )
         return stats
 
@@ -562,6 +477,11 @@ class ResultStore:
         than that many seconds; ``max_size_bytes`` then evicts the
         oldest surviving records until the object payload fits.  Returns
         ``{"removed": n, "freed_bytes": b, "kept": m}``.
+
+        Every file under ``objects/*/`` counts, whatever its name (so a
+        pre-1.9 store's ``.json`` records are reclaimed too), except
+        ``put``'s in-flight temp files: campaign writers do not take the
+        maintenance lock, and deleting one would fail their rename.
 
         Holds the store's exclusive maintenance lock for the duration,
         so two concurrent ``gc`` runs (or a ``gc`` racing a ``verify``)
@@ -579,16 +499,12 @@ class ResultStore:
     ) -> Dict[str, int]:
         now = time.time() if now is None else now
         records: List = []  # (mtime, size, path)
-        if self.objects_dir.is_dir():
-            # Both tiers: a half-migrated store must never be
-            # under-collected.
-            for pattern in ("*/*.bin", "*/*.json"):
-                for path in self.objects_dir.glob(pattern):
-                    try:
-                        st = path.stat()
-                    except OSError:
-                        continue
-                    records.append((st.st_mtime, st.st_size, path))
+        for path in self._object_files():
+            try:
+                st = path.stat()
+            except OSError:
+                continue
+            records.append((st.st_mtime, st.st_size, path))
         records.sort()
         removed = 0
         freed = 0
@@ -618,82 +534,6 @@ class ResultStore:
                 i += 1
             survivors = survivors[i:]
         return {"removed": removed, "freed_bytes": freed, "kept": len(survivors)}
-
-    def migrate(self, dry_run: bool = False) -> Dict[str, int]:
-        """Rewrite legacy ``.json`` objects as ``.bin`` in place.
-
-        Each record is parsed, re-encoded as a ``repro-record-bin-v1``
-        container, decoded back, and only swapped in once the round-trip
-        reproduces byte-identical canonical metrics — then the binary
-        file is renamed into place atomically and the JSON file removed.
-        ``dry_run=True`` reports what would happen without touching the
-        store.  Returns ``{"migrated", "skipped", "bytes_before",
-        "bytes_after"}``.
-
-        Holds the exclusive maintenance lock: a migrate racing a ``gc``
-        (or another migrate) would otherwise double-delete or mis-count.
-        Campaign readers are unaffected — every key stays readable in
-        one format or the other at all times.
-        """
-        with self.lock().exclusive():
-            return self._migrate_locked(dry_run)
-
-    def _migrate_locked(self, dry_run: bool) -> Dict[str, int]:
-        result = {
-            "migrated": 0,
-            "skipped": 0,
-            "bytes_before": 0,
-            "bytes_after": 0,
-        }
-        if not self.objects_dir.is_dir():
-            return result
-        for path in sorted(self.objects_dir.glob("*/*.json")):
-            key = path.stem
-            try:
-                raw = path.read_text(encoding="utf-8")
-            except OSError:
-                result["skipped"] += 1
-                continue
-            entry = self._parse(key, path, raw)
-            if entry is None or entry.key != key:
-                result["skipped"] += 1  # corrupt legacy record: leave it
-                continue
-            record = {
-                "format": RESULT_FORMAT,
-                "key": entry.key,
-                "key_fields": entry.key_fields,
-                "metrics": entry.metrics,
-                "provenance": entry.provenance,
-            }
-            payload = encode_record(record, RECORD_TYPE_TRIAL)
-            decoded, _ = decode_record(payload)
-            if canonical_bytes(decoded["metrics"]) != canonical_bytes(
-                entry.metrics
-            ):  # pragma: no cover - round-trip is lossless by design
-                result["skipped"] += 1
-                continue
-            result["migrated"] += 1
-            result["bytes_before"] += len(raw.encode("utf-8"))
-            result["bytes_after"] += len(payload)
-            if dry_run:
-                continue
-            bin_path = self.path_for(key, "bin")
-            if not bin_path.exists():
-                fd, tmp = tempfile.mkstemp(
-                    dir=str(path.parent), prefix=".tmp-", suffix=".bin"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        fh.write(payload)
-                    os.replace(tmp, bin_path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-            path.unlink()
-        return result
 
     def verify(
         self, sample: Optional[int] = None, seed: int = 0

@@ -8,9 +8,8 @@ digest of its aggregates for later bit-identity checks.
 
 The journal is an append-only event stream under
 ``<store>/campaigns/<campaign_key>.binj`` — a ``repro-record-bin-v1``
-journal container whose frames are length-prefixed and CRC-protected
-(legacy ``.ndjson`` journals remain readable; ``codec="json"`` still
-writes them).  Event kinds are unchanged from the NDJSON days:
+journal container whose frames are length-prefixed and CRC-protected.
+Event kinds:
 
 * ``{"kind": "meta", ...}`` — the campaign identity, written at start;
 * ``{"kind": "trial", "trial_index": k, "key": ..., "ok": true}`` —
@@ -19,11 +18,10 @@ writes them).  Event kinds are unchanged from the NDJSON days:
 * ``{"kind": "complete", "aggregates_digest": ..., "elapsed_s": ...}``
   — appended when the campaign finishes.
 
-Torn-record tolerance carries over: where NDJSON stopped trusting a
-line without a newline, the binary codec stops at the first frame whose
-length or CRC fails — and, because binary frames do not resynchronize
-the way newlines do, a resuming writer truncates the torn tail before
-appending (see :func:`repro.store.binary.load_journal`).
+A reader stops at the first frame whose length or CRC fails (a torn
+write at the kill point), and, because frames do not resynchronize, a
+resuming writer truncates the torn tail before appending (see
+:func:`repro.store.binary.load_journal`).
 
 Resume correctness does **not** depend on the journal: a resumed
 campaign re-checks every trial key against the object store, so the
@@ -34,9 +32,7 @@ and for the completion digest.
 
 from __future__ import annotations
 
-import contextlib
 import datetime
-import json
 import pathlib
 import re
 from dataclasses import dataclass, field
@@ -47,7 +43,7 @@ from repro.store.binary import (
     load_journal,
     write_journal_header,
 )
-from repro.store.canonical import canonical_json, digest
+from repro.store.canonical import digest
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -117,12 +113,7 @@ class CheckpointState:
 
 
 class CampaignCheckpoint:
-    """One campaign's append-only progress journal.
-
-    ``codec`` picks the journal encoding: ``"binary"`` (the default)
-    appends CRC-framed ``repro-record-bin-v1`` events to ``<key>.binj``;
-    ``"json"`` keeps the legacy NDJSON form at ``<key>.ndjson``.  Reads
-    always cover both.
+    """One campaign's append-only progress journal at ``<key>.binj``.
 
     ``namespace`` relocates the journal under
     ``campaigns/<namespace>/<key>.binj`` — the ``repro serve`` job
@@ -140,24 +131,13 @@ class CampaignCheckpoint:
         *,
         namespace: Optional[str] = None,
         trace_id: Optional[str] = None,
-        codec: str = "binary",
     ):
-        if codec not in ("binary", "json"):
-            raise ValueError(
-                f"unknown checkpoint codec {codec!r} "
-                "(expected 'binary' or 'json')"
-            )
         self.key = key
-        self.codec = codec
         base = pathlib.Path(store_root) / "campaigns"
         if namespace is not None:
             base = base / validate_namespace(namespace)
-        #: Binary-framed journal (what new campaigns write).
-        self.binary_path = base / f"{key}.binj"
-        #: Legacy NDJSON journal (still readable; written by codec="json").
-        self.json_path = base / f"{key}.ndjson"
-        #: The journal this checkpoint appends to, per its codec.
-        self.path = self.binary_path if codec == "binary" else self.json_path
+        #: The journal file this checkpoint reads and appends to.
+        self.path = base / f"{key}.binj"
         #: Trace id stamped onto every journal event (``None`` = no trace).
         self.trace_id = trace_id
         self._fh: Optional[IO[Any]] = None
@@ -165,34 +145,11 @@ class CampaignCheckpoint:
     # -- reading -------------------------------------------------------------
 
     def load(self) -> CheckpointState:
-        """Parse the journal; tolerant of a torn final record (SIGKILL).
-
-        Both journal tiers are read regardless of this checkpoint's
-        write codec — a campaign journaled as NDJSON before a codec
-        switch resumes seamlessly — with binary events applied last
-        (they win on conflicting meta/completion).
-        """
+        """Parse the journal; tolerant of a torn final record (SIGKILL)."""
         state = CheckpointState()
-        for event in self._iter_json_events():
-            self._apply(state, event)
-        events, _ = load_journal(self.binary_path)
-        for event in events:
+        for event in load_journal(self.path)[0]:
             self._apply(state, event)
         return state
-
-    def _iter_json_events(self):
-        try:
-            raw = self.json_path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError:
-                continue  # torn write at the kill point
 
     @staticmethod
     def _apply(state: CheckpointState, event: Any) -> None:
@@ -218,26 +175,15 @@ class CampaignCheckpoint:
         """
         prior = self.load() if resume else CheckpointState()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not resume:
-            # A fresh campaign must not leave stale events in the
-            # *other* tier for the next load() to resurrect.
-            for stale in (self.binary_path, self.json_path):
-                if stale != self.path:
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
-        if self.codec == "binary":
-            valid = load_journal(self.binary_path)[1] if resume else 0
-            if valid > 0:
-                # Cut off any torn tail frame, then append after it.
-                with open(self.binary_path, "rb+") as fh:
-                    fh.truncate(valid)
-                self._fh = open(self.binary_path, "ab")
-            else:
-                self._fh = open(self.binary_path, "wb")
-                write_journal_header(self._fh)
+        valid = load_journal(self.path)[1] if resume else 0
+        if valid > 0:
+            # Cut off any torn tail frame, then append after it.
+            with open(self.path, "rb+") as fh:
+                fh.truncate(valid)
+            self._fh = open(self.path, "ab")
         else:
-            mode = "a" if (resume and self.path.exists()) else "w"
-            self._fh = open(self.path, mode, encoding="utf-8")
+            self._fh = open(self.path, "wb")
+            write_journal_header(self._fh)
         self._emit(
             {
                 "kind": "meta",
@@ -280,10 +226,7 @@ class CampaignCheckpoint:
             raise RuntimeError("checkpoint journal not open; call begin()")
         if self.trace_id is not None:
             event = {**event, "trace_id": self.trace_id}
-        if self.codec == "binary":
-            append_journal_frame(self._fh, event)
-        else:
-            self._fh.write(canonical_json(event) + "\n")
+        append_journal_frame(self._fh, event)
         self._fh.flush()
 
 

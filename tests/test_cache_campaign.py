@@ -440,15 +440,12 @@ class TestCliCacheFlags:
             main(["cache", "gc", "--cache-dir", str(tmp_path)])
 
 
-# -- storage format: bit-identity and migration --------------------------------
+# -- storage format: legacy files are ignored ---------------------------------
 
 
 def _demote_to_json(store):
-    """Rewrite every object as legacy ``.json``, as a pre-binary store.
-
-    What a store written before this release looks like: same keys, same
-    records, canonical-JSON payloads.
-    """
+    """Rewrite every object as a canonical-JSON ``.json`` file, the way a
+    store written before 1.9 held its records: same keys, same records."""
     from repro.store.cache import RESULT_FORMAT
     from repro.store.canonical import canonical_json
 
@@ -461,207 +458,32 @@ def _demote_to_json(store):
             "metrics": entry.metrics,
             "provenance": entry.provenance,
         }
-        json_path = store.path_for(entry.key, "json")
-        json_path.write_text(canonical_json(record) + "\n", encoding="utf-8")
-        bin_path = store.path_for(entry.key, "bin")
-        if bin_path.exists():
-            bin_path.unlink()
+        entry.path.with_suffix(".json").write_text(
+            canonical_json(record) + "\n", encoding="utf-8"
+        )
+        entry.path.unlink()
         demoted += 1
     return demoted
 
 
 class TestStorageFormatBitIdentity:
-    def test_aggregates_bit_identical_across_json_binary_and_mixed(
-        self, tmp_path
-    ):
-        """The storage format never shows up in a campaign's answer."""
+    def test_legacy_json_objects_never_hit(self, tmp_path):
+        """``.json`` objects are never read, even at their own keys, and
+        never show up in a campaign's answer."""
         baseline = Campaign(FlakyTrial(), 6, 42).run()
+        store = ResultStore(tmp_path)
+        cold = Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=store)).run()
+        assert _demote_to_json(store) == 6
 
-        binary_store = ResultStore(tmp_path / "binary")
-        cold = Campaign(
-            FlakyTrial(), 6, 42, plan=RunPlan(store=binary_store)
+        recomputed = Campaign(
+            FlakyTrial(), 6, 42, plan=RunPlan(store=store)
         ).run()
-        assert all(e.fmt == "bin" for e in binary_store.entries())
-
-        # a legacy store: every record demoted to canonical JSON
-        json_store = ResultStore(tmp_path / "json")
-        Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=json_store)).run()
-        assert _demote_to_json(json_store) == 6
-        assert all(e.fmt == "json" for e in json_store.entries())
-
-        # a half-migrated store: records split across both tiers
-        mixed_store = ResultStore(tmp_path / "mixed")
-        Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=mixed_store)).run()
-        entries = sorted(mixed_store.entries(), key=lambda e: e.key)
-        _demote_to_json(mixed_store)
-        assert mixed_store.migrate(dry_run=True)["migrated"] == 6
-        # promote half the records back to binary by hand
-        from repro.store.binary import RECORD_TYPE_TRIAL, encode_record
-
-        for entry in entries[:3]:
-            raw = json.loads(
-                mixed_store.path_for(entry.key, "json").read_text()
-            )
-            mixed_store.path_for(entry.key, "bin").write_bytes(
-                encode_record(raw, RECORD_TYPE_TRIAL)
-            )
-            mixed_store.path_for(entry.key, "json").unlink()
-        fmts = {e.fmt for e in mixed_store.entries()}
-        assert fmts == {"bin", "json"}
-
-        for store in (binary_store, json_store, mixed_store):
-            warm = Campaign(
-                FlakyTrial(), 6, 42, plan=RunPlan(store=store)
-            ).run()
-            assert warm.cache_hits == 6, store.root
-            assert warm.aggregates == baseline.aggregates
-            assert _agg_digest(warm.aggregates) == _agg_digest(
+        assert recomputed.cache_hits == 0
+        assert len(list(store.objects_dir.glob("*/*.json"))) == 6
+        warm = Campaign(FlakyTrial(), 6, 42, plan=RunPlan(store=store)).run()
+        assert warm.cache_hits == 6
+        for result in (recomputed, warm):
+            assert result.aggregates == baseline.aggregates
+            assert _agg_digest(result.aggregates) == _agg_digest(
                 cold.aggregates
             )
-
-    def test_migrate_rewrites_in_place_and_preserves_metrics(self, tmp_path):
-        from repro.store.canonical import canonical_bytes
-
-        store = ResultStore(tmp_path)
-        Campaign(FlakyTrial(), 5, 9, plan=RunPlan(store=store)).run()
-        _demote_to_json(store)
-        before = {e.key: e.metrics for e in store.entries()}
-        json_bytes = sum(e.size_bytes for e in store.entries())
-
-        dry = store.migrate(dry_run=True)
-        assert dry["migrated"] == 5
-        assert all(e.fmt == "json" for e in store.entries())  # untouched
-
-        outcome = store.migrate()
-        assert outcome["migrated"] == 5
-        assert outcome["skipped"] == 0
-        assert outcome["bytes_before"] == json_bytes
-        assert outcome["bytes_after"] < json_bytes
-        assert not list(store.objects_dir.glob("*/*.json"))
-        after = {e.key: e.metrics for e in store.entries()}
-        assert set(after) == set(before)
-        for key in before:
-            assert canonical_bytes(after[key]) == canonical_bytes(
-                before[key]
-            )
-        # migrated records still verify byte-identically against re-runs
-        outcomes = store.verify()
-        assert len(outcomes) == 5
-        assert all(o.ok for o in outcomes), [o.reason for o in outcomes]
-
-    def test_migrate_cli_reports_and_stats_split_by_format(
-        self, tmp_path, capsys
-    ):
-        store = ResultStore(tmp_path)
-        Campaign(FlakyTrial(), 4, 3, plan=RunPlan(store=store)).run()
-        _demote_to_json(store)
-        assert main(
-            ["cache", "migrate", "--dry-run", "--cache-dir", str(tmp_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "would migrate 4" in out
-        stats = ResultStore(tmp_path).stats()
-        assert stats.by_format["json"]["entries"] == 4
-        assert "bin" not in stats.by_format
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 4" in out
-        stats = ResultStore(tmp_path).stats()
-        assert stats.by_format["bin"]["entries"] == 4
-        assert "json" not in stats.by_format
-        assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
-        assert "bin: 4" in capsys.readouterr().out
-
-    def test_corrupt_legacy_record_is_skipped_not_destroyed(self, tmp_path):
-        store = ResultStore(tmp_path)
-        Campaign(FlakyTrial(), 2, 1, plan=RunPlan(store=store)).run()
-        _demote_to_json(store)
-        victim = sorted(store.objects_dir.glob("*/*.json"))[0]
-        victim.write_text("{torn", encoding="utf-8")
-        outcome = store.migrate()
-        assert outcome == {
-            "migrated": 1,
-            "skipped": 1,
-            "bytes_before": outcome["bytes_before"],
-            "bytes_after": outcome["bytes_after"],
-        }
-        assert victim.exists()  # left in place for forensics
-
-    def test_migrate_then_resume_sigkilled_campaign_bit_identical(
-        self, tmp_path
-    ):
-        """The CI scenario: kill a campaign, migrate the store to
-        binary, resume through the binary checkpoint journal, and land
-        on the clean-run digest."""
-        script = tmp_path / "campaign_script.py"
-        script.write_text(
-            textwrap.dedent(
-                """
-                import json, os, sys
-                from dataclasses import asdict, dataclass
-
-                from repro.sim.parallel import Campaign
-                from repro.sim.plan import RunPlan
-                from repro.store import ResultStore, digest
-
-
-                @dataclass(frozen=True)
-                class KillerTrial:
-                    width: float = 1.5
-
-                    def __call__(self, trial_index, seed):
-                        if os.environ.get("KILL_AT") == str(trial_index):
-                            os.kill(os.getpid(), 9)
-                        return {"v": (seed % 1009) * self.width}
-
-
-                store = ResultStore(sys.argv[1])
-                resume = "--resume" in sys.argv
-                result = Campaign(
-                    KillerTrial(), 6, 42,
-                    plan=RunPlan(store=store, resume=resume),
-                ).run()
-                print(json.dumps({
-                    "hits": result.cache_hits,
-                    "digest": digest({
-                        n: asdict(a) for n, a in result.aggregates.items()
-                    }),
-                }))
-                """
-            ),
-            encoding="utf-8",
-        )
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-
-        def run_script(cache_dir, *extra, kill_at=None):
-            run_env = dict(env)
-            if kill_at is not None:
-                run_env["KILL_AT"] = str(kill_at)
-            return subprocess.run(
-                [sys.executable, str(script), str(cache_dir), *extra],
-                capture_output=True,
-                text=True,
-                env=run_env,
-            )
-
-        cache = tmp_path / "cache"
-        killed = run_script(cache, kill_at=4)
-        assert killed.returncode in (-9, 137), killed.stderr
-
-        # the kill left 4 records; demote them to the legacy tier, then
-        # migrate back — resume must not notice any of it
-        store = ResultStore(cache)
-        assert _demote_to_json(store) == 4
-        outcome = store.migrate()
-        assert outcome["migrated"] == 4
-
-        resumed = run_script(cache, "--resume")
-        assert resumed.returncode == 0, resumed.stderr
-        resumed_out = json.loads(resumed.stdout)
-        assert resumed_out["hits"] == 4
-
-        clean = run_script(tmp_path / "fresh_cache")
-        assert clean.returncode == 0, clean.stderr
-        assert resumed_out["digest"] == json.loads(clean.stdout)["digest"]

@@ -8,6 +8,7 @@ import os
 import pathlib
 import sys
 import textwrap
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -208,7 +209,7 @@ class TestTrialKeys:
 # -- the store ----------------------------------------------------------------
 
 
-def _put_one(store, seed=11, metrics=None, trial=None, index=0, fmt="bin"):
+def _put_one(store, seed=11, metrics=None, trial=None, index=0):
     trial = trial or PaperTrial(4.0, 60)
     config = trial_config_of(trial)
     key = trial_key(config, index, seed, "auto", code_fingerprint())
@@ -222,7 +223,7 @@ def _put_one(store, seed=11, metrics=None, trial=None, index=0, fmt="bin"):
     }
     store.put(
         key, fields, metrics or {"x": 0.1, "y": 2.0},
-        {"created_utc": "2026-01-01T00:00:00Z"}, fmt=fmt,
+        {"created_utc": "2026-01-01T00:00:00Z"},
     )
     return key
 
@@ -271,14 +272,45 @@ class TestResultStore:
         path.write_bytes(encode_record(record, RECORD_TYPE_TRIAL))
         assert store.get(key) is None
 
-    def test_tampered_legacy_json_reads_as_miss(self, tmp_path):
+    def test_legacy_json_object_reads_as_miss(self, tmp_path):
+        """A pre-1.9 ``.json`` record is never read, even at its key's
+        own address; ``put`` writes the ``.bin`` beside it and only
+        ``gc`` removes it."""
+        from repro.store.binary import read_record_path
+
         store = ResultStore(tmp_path)
-        key = _put_one(store, fmt="json")
-        path = store.path_for(key, "json")
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record["key_fields"]["seed"] = 999
-        path.write_text(json.dumps(record), encoding="utf-8")
+        key = _put_one(store)
+        record, _ = read_record_path(store.path_for(key))
+        legacy = store.path_for(key).with_suffix(".json")
+        legacy.write_text(canonical_json(record) + "\n", encoding="utf-8")
+        store.path_for(key).unlink()
         assert store.get(key) is None
+        assert list(store.entries()) == []
+        assert store.stats().n_entries == 0
+        _put_one(store)
+        assert store.get(key) == {"x": 0.1, "y": 2.0}
+        assert legacy.exists()
+        outcome = store.gc(older_than_s=0, now=time.time() + 60)
+        assert outcome["removed"] == 2
+        assert not legacy.exists()
+
+    def test_gc_never_deletes_an_in_flight_put(self, tmp_path, monkeypatch):
+        """``gc`` racing a campaign writer must leave ``put``'s temp file
+        alone: campaign writers take no maintenance lock."""
+        import repro.store.cache as cache_mod
+
+        store = ResultStore(tmp_path)
+        real_write = cache_mod.write_record
+
+        def write_then_gc(fh, *args, **kwargs):
+            written = real_write(fh, *args, **kwargs)
+            fh.flush()
+            store.gc(older_than_s=0, now=time.time() + 60)
+            return written
+
+        monkeypatch.setattr(cache_mod, "write_record", write_then_gc)
+        key = _put_one(store)
+        assert store.get(key) == {"x": 0.1, "y": 2.0}
 
     def test_entries_and_stats(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -414,24 +446,13 @@ class TestCampaignCheckpoint:
         fresh.close()
         assert CampaignCheckpoint(tmp_path, key).load().done == {}
 
-    def test_torn_final_line_is_tolerated(self, tmp_path):
-        key = "d" * 64
-        ckpt = CampaignCheckpoint(tmp_path, key, codec="json")
-        ckpt.begin({})
-        ckpt.record_trial(0, "k0", ok=True, cached=False)
-        ckpt.close()
-        with open(ckpt.path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind":"trial","trial_index":1,"key":"k1","o')  # SIGKILL
-        state = CampaignCheckpoint(tmp_path, key, codec="json").load()
-        assert state.done == {0: "k0"}
-
     def test_torn_binary_frame_is_tolerated(self, tmp_path):
         key = "d" * 64
         ckpt = CampaignCheckpoint(tmp_path, key)
         ckpt.begin({})
         ckpt.record_trial(0, "k0", ok=True, cached=False)
         ckpt.close()
-        assert ckpt.path.suffix == ".binj"  # binary is the default codec
+        assert ckpt.path.suffix == ".binj"
         with open(ckpt.path, "ab") as fh:
             fh.write(b"\xff\x00\x00\x00partial-frame")  # SIGKILL mid-write
         state = CampaignCheckpoint(tmp_path, key).load()
@@ -446,19 +467,24 @@ class TestCampaignCheckpoint:
             0: "k0", 1: "k1",
         }
 
-    def test_legacy_ndjson_journal_resumes_under_binary_codec(self, tmp_path):
+    def test_legacy_ndjson_journal_is_ignored(self, tmp_path):
+        """A pre-1.9 NDJSON journal is neither read nor removed."""
         key = "f" * 64
-        legacy = CampaignCheckpoint(tmp_path, key, codec="json")
-        legacy.begin({"n_trials": 3})
-        legacy.record_trial(0, "k0", ok=True, cached=False)
-        legacy.close()
-        ckpt = CampaignCheckpoint(tmp_path, key)  # binary default
-        prior = ckpt.begin({"n_trials": 3}, resume=True)
-        assert prior.done == {0: "k0"}  # read straight from the .ndjson
+        legacy = tmp_path / "campaigns" / f"{key}.ndjson"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(
+            canonical_json(
+                {"kind": "trial", "trial_index": 0, "key": "k0", "ok": True}
+            ) + "\n",
+            encoding="utf-8",
+        )
+        ckpt = CampaignCheckpoint(tmp_path, key)
+        assert ckpt.load().done == {}
+        assert ckpt.begin({"n_trials": 3}, resume=True).done == {}
         ckpt.record_trial(1, "k1", ok=True, cached=False)
         ckpt.close()
-        merged = CampaignCheckpoint(tmp_path, key).load()
-        assert merged.done == {0: "k0", 1: "k1"}
+        assert CampaignCheckpoint(tmp_path, key).load().done == {1: "k1"}
+        assert legacy.exists()
 
     def test_record_before_begin_raises(self, tmp_path):
         ckpt = CampaignCheckpoint(tmp_path, "e" * 64)

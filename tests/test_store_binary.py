@@ -13,14 +13,21 @@ payloads from empty to multi-thousand-bit — and check three contracts:
   varint encoding, say) or raises :class:`BinaryFormatError` — never a
   silently different value;
 * **canonical parity**: NaN/Infinity are rejected exactly where
-  canonical JSON rejects them, and values canonical JSON refuses
-  (sets, arbitrary objects) refuse here too.
+  canonical JSON rejects them (in records and journal frames alike),
+  and values canonical JSON refuses (sets, arbitrary objects) refuse
+  here too.
+
+A golden pin fixes the encoded bytes of one trial record, one journal
+and one job record, so an encoder refactor cannot move what is on disk.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
+import pathlib
+import tempfile
 from array import array
 
 import pytest
@@ -29,6 +36,7 @@ from hypothesis import given, settings, strategies as st
 from repro.store.binary import (
     BINARY_FORMAT,
     HEADER_SIZE,
+    RECORD_TYPE_JOB,
     RECORD_TYPE_JOURNAL,
     RECORD_TYPE_TRIAL,
     BinaryFormatError,
@@ -37,12 +45,10 @@ from repro.store.binary import (
     decode_record,
     encode_record,
     load_journal,
-    read_journal_frames,
-    read_record,
     write_journal_header,
     write_record,
 )
-from repro.store.canonical import canonical_bytes, canonical_json
+from repro.store.canonical import canonical_bytes, canonical_json, digest
 
 
 # -- value-domain strategies ---------------------------------------------------
@@ -103,6 +109,13 @@ def _assert_same(a, b):
         assert a == b
 
 
+def _load(blob: bytes):
+    """``load_journal`` over ``blob`` written to a fresh file."""
+    path = pathlib.Path(tempfile.mkdtemp()) / "j.binj"
+    path.write_bytes(blob)
+    return load_journal(path)
+
+
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(values)
@@ -119,14 +132,6 @@ class TestRoundTrip:
         """Storage format never leaks into the content address."""
         decoded, _ = decode_record(encode_record(value))
         assert canonical_bytes(decoded) == canonical_bytes(value)
-
-    @settings(max_examples=100, deadline=None)
-    @given(values)
-    def test_stream_and_buffer_decoders_agree(self, value):
-        data = encode_record(value)
-        streamed, _ = read_record(io.BytesIO(data))
-        buffered, _ = decode_record(data)
-        _assert_same(streamed, buffered)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.booleans(), min_size=0, max_size=4096))
@@ -172,6 +177,17 @@ class TestCanonicalParity:
                 canonical_json({"x": bad})
             with pytest.raises(ValueError):
                 encode_record({"x": bad})
+
+    def test_journal_frames_reject_nan_like_records(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            buf = io.BytesIO()
+            with pytest.raises(ValueError):
+                append_journal_frame(buf, {"elapsed_s": bad})
+            assert buf.getvalue() == b""  # nothing half-written
+        buf = io.BytesIO()
+        write_journal_header(buf)
+        append_journal_frame(buf, {"elapsed_s": float("inf")}, allow_nan=True)
+        assert _load(buf.getvalue())[0] == [{"elapsed_s": float("inf")}]
 
     def test_allow_nan_escape_hatch_for_unaddressed_records(self):
         data = encode_record({"x": float("nan")}, allow_nan=True)
@@ -293,8 +309,7 @@ class TestJournalFraming:
     def test_frames_round_trip(self):
         events = [{"kind": "meta", "n": 3}, {"kind": "trial", "i": 0}]
         buf = self._journal(events)
-        buf.seek(0)
-        assert list(read_journal_frames(buf)) == events
+        assert _load(buf.getvalue()) == (events, len(buf.getvalue()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.dictionaries(st.text(max_size=8), scalars, max_size=4),
@@ -304,25 +319,17 @@ class TestJournalFraming:
         buf = self._journal(events)
         intact = buf.getvalue()
         buf.write(garbage)  # SIGKILL mid-frame
-        buf.seek(0)
-        recovered = list(read_journal_frames(buf))
+        recovered, valid = _load(buf.getvalue())
         # the torn tail costs at most zero intact frames...
         assert recovered == events or len(recovered) < len(events)
-        # ...and load_journal agrees byte-for-byte on the valid prefix
-        import pathlib
-        import tempfile
-
-        path = pathlib.Path(tempfile.mkdtemp()) / "j.binj"
-        path.write_bytes(buf.getvalue())
-        loaded, valid = load_journal(path)
-        assert loaded == recovered
+        # ...and the valid prefix never reaches into the torn tail
         assert valid <= len(intact)
 
     def test_flipped_frame_crc_stops_the_stream(self):
         buf = self._journal([{"i": 0}, {"i": 1}, {"i": 2}])
         blob = bytearray(buf.getvalue())
         blob[-3] ^= 0x01  # corrupt the last frame's payload
-        recovered = list(read_journal_frames(io.BytesIO(bytes(blob))))
+        recovered, _ = _load(bytes(blob))
         assert recovered == [{"i": 0}, {"i": 1}]
 
     def test_single_record_reader_refuses_journals(self):
@@ -348,3 +355,88 @@ class TestFingerprintMixing:
         fingerprint.code_fingerprint.cache_clear()
         assert before != after
         assert BINARY_FORMAT == "repro-record-bin-v1"
+
+
+# -- golden bytes --------------------------------------------------------------
+
+_GOLDEN_KEY_FIELDS = {
+    "schema": "repro-trial-key-v1",
+    "trial": {
+        "type": "repro.experiments.common.PaperTrial",
+        "params": {"tag_range": 6.0, "n_tags": 400, "ranges": (6, 10)},
+    },
+    "trial_index": 3,
+    "seed": 2**40 + 7,
+    "engine": "auto",
+    "code_fingerprint": "0123456789abcdef",
+}
+_GOLDEN_TRIAL = {
+    "format": "repro-trial-result-v1",
+    "key": digest(_GOLDEN_KEY_FIELDS),
+    "key_fields": _GOLDEN_KEY_FIELDS,
+    "metrics": {
+        "ccm_time_s": 1 / 3, "gmle_slots": 1671.0, "tiny": -1e-300,
+        "zero": -0.0,
+    },
+    "provenance": {
+        "created_utc": "2026-01-01T00:00:00Z", "host": "hé",
+        "elapsed_s": None, "ok": True, "cached": False,
+        "bitmap": WordBitmap.from_bits([1, 0, 1] * 50),
+        "blob": b"\x00\xff\x10", "big": -(2**70) - 1,
+    },
+}
+_GOLDEN_EVENTS = [
+    {
+        "kind": "meta", "format": "repro-campaign-checkpoint-v1",
+        "campaign_key": "c" * 64, "resumed": False,
+        "created_utc": "2026-01-01T00:00:00Z", "n_trials": 8,
+    },
+    {"kind": "trial", "trial_index": 0, "key": "k" * 64, "ok": True,
+     "cached": False},
+    {"kind": "complete", "aggregates_digest": "d" * 64, "elapsed_s": 0.25},
+]
+_GOLDEN_JOB = {
+    "schema": "repro-job-record-v1", "id": "job-0001", "state": "running",
+    "spec": {"kind": "campaign", "n_trials": 8, "priority": 3},
+    "submitted_utc": "2026-01-01T00:00:00Z", "started_utc": None,
+    "trials_done": 2, "error": None,
+    "result": {"aggregates": {"v": {
+        "mean": float("nan"), "maximum": float("inf"),
+        "minimum": float("-inf"),
+    }}},
+}
+
+
+class TestGoldenBytes:
+    """The on-disk bytes of 1.9.0 stores, pinned by SHA-256."""
+
+    @staticmethod
+    def _sha(blob: bytes) -> str:
+        return hashlib.sha256(blob).hexdigest()
+
+    def test_trial_record_bytes(self):
+        blob = encode_record(_GOLDEN_TRIAL, RECORD_TYPE_TRIAL)
+        assert len(blob) == 567
+        assert self._sha(blob) == (
+            "9504309d2f97492e833a1acff651956eeeb39534b0753f5e1f9d91e7c1b81071"
+        )
+        fh = io.BytesIO()
+        assert write_record(fh, _GOLDEN_TRIAL, RECORD_TYPE_TRIAL) == len(blob)
+        assert fh.getvalue() == blob
+
+    def test_journal_bytes(self):
+        buf = io.BytesIO()
+        write_journal_header(buf)
+        for event in _GOLDEN_EVENTS:
+            append_journal_frame(buf, event)
+        assert len(buf.getvalue()) == 465
+        assert self._sha(buf.getvalue()) == (
+            "50d237b737ee31952eaf4bd55e2fe8373e12734e15d2239b43152dafcac85d99"
+        )
+
+    def test_job_record_bytes(self):
+        blob = encode_record(_GOLDEN_JOB, RECORD_TYPE_JOB, allow_nan=True)
+        assert len(blob) == 278
+        assert self._sha(blob) == (
+            "2199e2e5e221b69129c6e93f9542134b2a453e7642efc405c9f22441ffa40fd2"
+        )
