@@ -1,9 +1,10 @@
-"""Benchmark: packed vs bigint session engine at the paper operating point.
+"""Benchmark: ``run_session`` vs the big-int oracle at the paper operating point.
 
-Runs the *same* GMLE-style session (f = 1,671, p = 1.59 f/n, r = 6 m) on
-both engines, asserts the results are bit-identical, and records the
-speedup.  At the paper's n = 10,000 the bit-packed engine must be at
-least 5× faster than the big-int reference; CI runs a reduced-n smoke
+Runs the *same* GMLE-style session (f = 1,671, p = 1.59 f/n, r = 6 m)
+through ``run_session`` (the batch kernel, "packed") and
+``run_bigint_session`` (the oracle, "bigint"), asserts the results are
+bit-identical, and records the speedup.  At the paper's n = 10,000 the
+kernel must be at least 5× faster than the big-int oracle; CI runs a reduced-n smoke
 version via ``REPRO_BENCH_ENGINE_NTAGS`` where only the equivalence is
 asserted (small sessions don't amortise the vectorisation overhead).
 
@@ -20,7 +21,8 @@ import os
 import pathlib
 import time
 
-from repro.core.session import CCMConfig, run_session
+from repro.core.engine import run_bigint_session
+from repro.core.session import CCMConfig, _picks_to_masks, run_session
 from repro.experiments import paperconfig as cfg
 from repro.net.topology import PaperDeployment, paper_network
 from repro.obs import RunManifest
@@ -34,10 +36,13 @@ MIN_SPEEDUP = 5.0
 
 
 def _run(network, picks, engine: str):
+    config = CCMConfig(frame_size=FRAME_SIZE)
     started = time.perf_counter()
-    result = run_session(
-        network, picks, config=CCMConfig(frame_size=FRAME_SIZE), engine=engine
-    )
+    if engine == "bigint":
+        masks = _picks_to_masks(picks, FRAME_SIZE)
+        result = run_bigint_session(network, masks, config)
+    else:
+        result = run_session(network, picks, config=config)
     return result, time.perf_counter() - started
 
 

@@ -1,10 +1,12 @@
-"""Benchmark: packed vs bigint session engine under LossyChannel.
+"""Benchmark: ``run_session`` vs the big-int oracle under LossyChannel.
 
 Runs the same GMLE-style lossy session (f = 1,671, p = 1.59 f/n,
-r = 6 m, loss = 0.2) on both engines from identically-seeded rngs,
-asserts the results are bit-identical (the ``repro-channel-rng-v1``
-contract), and records the speedup.  At the paper's n = 10,000 the
-packed engine must be at least 8× faster than the big-int reference —
+r = 6 m, loss = 0.2) through ``run_session`` (the batch kernel,
+"packed") and ``run_bigint_session`` (the oracle, "bigint") from
+identically-seeded rngs, asserts the results are bit-identical (the
+``repro-channel-rng-v1`` contract), and records the speedup.  At the
+paper's n = 10,000 the kernel must be at least 8× faster than the
+big-int oracle —
 the lossy robustness sweeps are the most Monte-Carlo-heavy experiments,
 so this is the gap that matters; CI runs a reduced-n smoke version via
 ``REPRO_BENCH_LOSSY_NTAGS`` where only the equivalence is asserted.
@@ -22,7 +24,8 @@ import time
 
 import numpy as np
 
-from repro.core.session import CCMConfig, run_session
+from repro.core.engine import run_bigint_session
+from repro.core.session import CCMConfig, _picks_to_masks, run_session
 from repro.experiments import paperconfig as cfg
 from repro.net.channel import LossyChannel
 from repro.net.topology import PaperDeployment, paper_network
@@ -38,15 +41,18 @@ MIN_SPEEDUP = 8.0
 
 
 def _run(network, picks, engine: str):
+    config = CCMConfig(frame_size=FRAME_SIZE)
+    channel, rng = LossyChannel(LOSS), np.random.default_rng(4242)
     started = time.perf_counter()
-    result = run_session(
-        network,
-        picks,
-        config=CCMConfig(frame_size=FRAME_SIZE),
-        channel=LossyChannel(LOSS),
-        rng=np.random.default_rng(4242),
-        engine=engine,
-    )
+    if engine == "bigint":
+        masks = _picks_to_masks(picks, FRAME_SIZE)
+        result = run_bigint_session(
+            network, masks, config, channel=channel, rng=rng
+        )
+    else:
+        result = run_session(
+            network, picks, config=config, channel=channel, rng=rng
+        )
     return result, time.perf_counter() - started
 
 

@@ -5,7 +5,7 @@ Runs the scenario subsystem's motion comparison at the paper's scale
 no mobility) against an aisle drive-by and a UAV lawnmower sweep, both
 power-cycled at the -22 dBm activation threshold with 1 m inter-operation
 tag drift.  Asserts the static row is a perfect baseline (completion 1.0,
-fully powered, pinned to the plain engines by tests/test_scenario.py) and
+fully powered, pinned to ``run_session`` by tests/test_scenario.py) and
 that motion degrades completion — the honest cost of a mobile reader the
 paper's fixed-reader evaluation never sees.
 

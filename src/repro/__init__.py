@@ -27,13 +27,9 @@ from repro.core import (
     CCMConfig,
     MultiReaderResult,
     RoundStats,
-    SessionEngine,
     SessionResult,
     SessionTracer,
-    available_engines,
     default_checking_frame_length,
-    get_engine,
-    register_engine,
     run_multireader_session,
     run_session,
     union,
@@ -101,13 +97,9 @@ __all__ = [
     "CCMConfig",
     "MultiReaderResult",
     "RoundStats",
-    "SessionEngine",
     "SessionResult",
     "SessionTracer",
-    "available_engines",
     "default_checking_frame_length",
-    "get_engine",
-    "register_engine",
     "run_multireader_session",
     "run_session",
     "union",

@@ -1,4 +1,4 @@
-"""CCM core: bitmaps, the Algorithm-1 session engines, multi-reader combine.
+"""CCM core: bitmaps, the Algorithm-1 session kernel, multi-reader combine.
 
 This subpackage is the paper's primary contribution.  Typical use::
 
@@ -12,23 +12,15 @@ This subpackage is the paper's primary contribution.  Typical use::
     result = run_session(net, picks, config=CCMConfig(frame_size=1671))
     print(result.bitmap.popcount(), "busy slots in", result.rounds, "rounds")
 
-Sessions run on an interchangeable engine (``engine="packed"`` the
-batch kernel at B = 1, ``engine="bigint"`` the big-int oracle, default
-``"auto"``); see :mod:`repro.core.engine` for the registry and
-:mod:`repro.core.batch` for the kernel, which runs B whole sessions per
-numpy call.
+``run_session`` runs on the batch kernel (:mod:`repro.core.batch`,
+B whole sessions per numpy call) at B = 1 for the built-in channels,
+and on the big-int oracle (:func:`run_bigint_session`,
+:mod:`repro.core.engine`) for any other channel; the two are
+bit-identical.
 """
 
 from repro.core.bitmap import Bitmap, union
-from repro.core.engine import (
-    BigintSessionEngine,
-    PackedSessionEngine,
-    SessionEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-    resolve_engine,
-)
+from repro.core.engine import run_bigint_session
 from repro.core.multireader import MultiReaderResult, run_multireader_session
 from repro.core.reliability import RobustCollectResult, robust_collect
 from repro.core.session import (
@@ -57,13 +49,7 @@ __all__ = [
     "run_session_batch",
     "BATCH_RNG_CONTRACT",
     "batch_trial_rngs",
-    "SessionEngine",
-    "BigintSessionEngine",
-    "PackedSessionEngine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "resolve_engine",
+    "run_bigint_session",
     "RobustCollectResult",
     "robust_collect",
     "MultiReaderResult",

@@ -9,9 +9,9 @@ slot-word on the channel-driven tag-major path) and every protocol step
 (data frame, indicator round, propagation, checking frame) advances all
 B sessions in one numpy call.  Finished sessions are masked inert (their
 state freezes, their ledger stops accumulating) rather than forcing
-ragged per-trial loops.  Single sessions run here too: the ``"packed"``
-engine (:class:`repro.core.engine.PackedSessionEngine`) is this kernel
-at B = 1, and so is the ``"scenario"`` engine, which moves the reader
+ragged per-trial loops.  Single sessions run here too:
+:func:`repro.core.session.run_session` is this kernel at B = 1 for the
+built-in channels, and so is the scenario engine, which moves the reader
 and power-cycles tags through a per-round hook.
 
 The slot-major kernel never transposes the transmit matrix: because
@@ -20,13 +20,13 @@ energy accounting reduces to exact integer counting identities
 (``|V ∪ done| = |V| + |done| − |V ∩ done|``) maintained incrementally
 from the round's (trial, slot, tag) transmit pairs — the same pairs the
 propagation step needs anyway.  All ledger contributions stay
-integer-valued, so the counts are bit-identical to the reference
-engine's popcounts.
+integer-valued, so the counts are bit-identical to the oracle's
+popcounts.
 
 Determinism: the ``repro-batch-rng-v1`` contract
 ------------------------------------------------
 The executable reference for a batched trial is the per-trial scalar
-bigint engine (:class:`repro.core.engine.BigintSessionEngine`), which
+big-int oracle (:func:`repro.core.engine.run_bigint_session`), which
 consumes the same ``repro-channel-rng-v1`` stream: running trial k
 alone through it and running trial k inside any batch must produce
 bit-identical results (bitmap, rounds, slots, round stats, energy
@@ -366,7 +366,7 @@ def _batch_slot_major(
     knowledge), so per-tag accounting is pure integer counting:
 
     * ``dcount[b, t]`` — cumulative slots tag t has transmitted in
-      (= popcount of the reference engine's ``done`` row);
+      (= popcount of the oracle's ``done`` row);
     * ``overlap[b, t]`` — ``|done ∩ V|`` against the *previous* round's
       indicator vector, maintained from two deltas: this round's pairs
       that land in already-busy slots, and the pair *history* (every
@@ -811,7 +811,8 @@ def run_session_batch(
 
     Every returned :class:`~repro.core.session.SessionResult` is
     bit-identical to running that trial alone through
-    ``engine="bigint"`` with the same masks and generator.
+    :func:`~repro.core.engine.run_bigint_session` with the same masks
+    and generator.
     """
     if (masks_batch is None) == (picks_batch is None):
         raise ValueError(
@@ -855,9 +856,9 @@ def _run_batch(
     path under one ``session_batch`` span.
 
     The body of :func:`run_session_batch` without its input checks and
-    ``ccm_batch_*`` call counters — the entry point of the single-session
-    ``"packed"`` and ``"scenario"`` engines, whose masks
-    :func:`~repro.core.session.run_session` has already validated.  A
+    ``ccm_batch_*`` call counters — the entry point of single sessions
+    (:func:`~repro.core.session.run_session` and the scenario engine),
+    whose masks have already been validated.  A
     ``round_hook`` (see :func:`_batch_tag_major`) always takes the
     tag-major path.
     """
@@ -865,8 +866,8 @@ def _run_batch(
     if not getattr(channel, "supports_packed", False):
         raise ValueError(
             f"channel {type(channel).__name__} does not implement the "
-            "packed-word interface the batch kernel needs; use "
-            "engine='bigint'"
+            "packed-word interface the batch kernel needs; run its "
+            "sessions through run_session, which routes it to the oracle"
         )
     n = network.n_tags
     with obs_metrics.OBS.span("session_batch"):

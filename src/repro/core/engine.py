@@ -1,57 +1,36 @@
-"""Session engines: interchangeable implementations of Algorithm 1.
+"""The big-int oracle of Algorithm 1 and the helpers the kernel shares.
 
-:func:`repro.core.session.run_session` delegates the per-round mechanics
-(data frame, knowledge update, indicator-vector silencing, checking frame,
-energy accounting) to a :class:`SessionEngine`.  Two implementations are
-registered here:
+:func:`repro.core.session.run_session` runs every session on the batch
+kernel (:mod:`repro.core.batch`) when the channel is one of the exact
+built-in types — ``None``, :class:`~repro.net.channel.PerfectChannel` or
+:class:`~repro.net.channel.LossyChannel` — and on
+:func:`run_bigint_session` otherwise.  The strict type check keeps
+third-party channel subclasses, which may override propagation or lack
+the packed-word interface, on the channel-agnostic oracle.
 
-* ``"bigint"`` — the scalar oracle: each tag's frame is an f-bit Python
-  integer, and propagation is one big-int OR per edge.  Works with any
-  :class:`~repro.net.channel.Channel` implementation.
-* ``"packed"`` — the fast kernel: :func:`repro.core.batch.run_session_batch`
-  run on a one-trial batch.  Under the exact
-  :class:`~repro.net.channel.PerfectChannel` it runs slot-major over the
-  cached :meth:`~repro.net.topology.Network.packed_adjacency` bitsets;
-  other packed-capable channels (``propagate_packed``/
-  ``reader_senses_packed``, implemented by
-  :class:`~repro.net.channel.LossyChannel`) take its tag-major path
-  driven through the channel interface.
+:func:`run_bigint_session` is the scalar oracle: each tag's frame is an
+f-bit Python integer, and propagation is one big-int OR per edge.  It
+drives only the abstract :meth:`~repro.net.channel.Channel.propagate` /
+:meth:`~repro.net.channel.Channel.reader_senses` interface.  The kernel
+and the oracle are bit-identical — same bitmap, rounds, slot tally,
+round statistics, and per-tag ledger floats — under both built-in
+channels, which ``tests/test_engine.py`` asserts across a
+deployment/frame-size/loss/mask grid.  Lossy parity rests on the
+``repro-channel-rng-v1`` draw contract (see :mod:`repro.net.channel`):
+both consume the channel's Bernoulli stream in the same pinned order,
+the oracle one scalar draw at a time and the kernel in
+batched-but-identical ``Generator`` calls.
 
-The two engines are bit-identical — same bitmap, rounds, slot tally,
-round statistics, and per-tag ledger floats — under both
-:class:`~repro.net.channel.PerfectChannel` and
-:class:`~repro.net.channel.LossyChannel`, which ``tests/test_engine.py``
-asserts across a deployment/frame-size/loss/mask grid.  Lossy parity
-rests on the ``repro-channel-rng-v1`` draw contract (see
-:mod:`repro.net.channel`): both engines consume the channel's Bernoulli
-stream in the same pinned order, the bigint path one scalar draw at a
-time and the packed path in batched-but-identical ``Generator`` calls.
-The default ``engine="auto"`` therefore selects packed for the exact
-built-in channel types (including ``LossyChannel(loss=0.0)``, which is
-routed to the silent slot-major fast path) and bigint for anything else
-— third-party channel subclasses may override propagation or not
-implement the packed-word interface at all.
-
-Engines only compute the :class:`~repro.core.session.SessionResult`;
-the tracer events and ``ccm_*`` protocol counters are derived from it
-once per session by :func:`repro.core.session.emit_session_observables`.
-
-The registry is open: :func:`register_engine` accepts any object
-satisfying the :class:`SessionEngine` protocol, so experimental engines
-(GPU kernels, approximate models) can be selected by name through the
-same ``engine=`` keyword.
+Both only compute the :class:`~repro.core.session.SessionResult`; the
+tracer events and ``ccm_*`` protocol counters are derived from it once
+per session by :func:`repro.core.session.emit_session_observables`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - always present on 3.8+
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    from typing_extensions import Protocol, runtime_checkable
 
 from repro.core.bitmap import Bitmap
 from repro.core.session import (
@@ -60,96 +39,11 @@ from repro.core.session import (
     SessionResult,
     default_checking_frame_length,
 )
-from repro.net.channel import (
-    Channel,
-    LossyChannel,
-    PerfectChannel,
-    or_reduce_segments,
-)
+from repro.net.channel import Channel, PerfectChannel, or_reduce_segments
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount, indicator_vector_slots
 from repro.net.topology import Network
 from repro.obs import metrics as obs_metrics
-
-#: The engine name ``run_session`` resolves per call: packed for the
-#: built-in channel types, bigint otherwise.
-AUTO_ENGINE = "auto"
-
-
-@runtime_checkable
-class SessionEngine(Protocol):
-    """One implementation of Algorithm 1 over pre-validated inputs.
-
-    ``masks`` is the per-tag list of f-bit integers (slots each tag
-    initially sets busy); :func:`repro.core.session.run_session` has
-    already validated lengths and bit ranges before dispatching here.
-    """
-
-    name: str
-
-    def run(
-        self,
-        network: Network,
-        masks: Sequence[int],
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-    ) -> SessionResult:
-        """Execute one CCM session and account time and energy."""
-        ...  # pragma: no cover - protocol body
-
-
-_REGISTRY: Dict[str, Callable[[], SessionEngine]] = {}
-
-
-def register_engine(name: str, factory: Callable[[], SessionEngine]) -> None:
-    """Register (or replace) a session engine under ``name``.
-
-    ``factory`` is called lazily, once per :func:`get_engine` call, so
-    registration stays import-cheap.
-    """
-    if not name or name == AUTO_ENGINE:
-        raise ValueError(f"invalid engine name {name!r}")
-    _REGISTRY[name] = factory
-
-
-def available_engines() -> Tuple[str, ...]:
-    """Registered engine names, sorted (``"auto"`` is a resolution rule,
-    not an engine, and is not listed)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_engine(name: str) -> SessionEngine:
-    """Instantiate the engine registered under ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown session engine {name!r}; available: "
-            f"{', '.join(available_engines())} (or 'auto')"
-        ) from None
-    return factory()
-
-
-def resolve_engine(name: str, channel: Optional[Channel]) -> SessionEngine:
-    """Resolve an ``engine=`` argument to a concrete engine.
-
-    ``"auto"`` selects the packed engine (the batch kernel at B = 1) for
-    the exact built-in channel types — ``None``/:class:`PerfectChannel`
-    (slot-major fast path) and :class:`LossyChannel` (tag-major path
-    consuming the ``repro-channel-rng-v1`` draw stream, bit-identical to
-    bigint) — and the bigint engine for anything else.  The strict type
-    checks keep subclasses that may override propagation on the
-    channel-agnostic reference engine.
-    """
-    if name != AUTO_ENGINE:
-        return get_engine(name)
-    if channel is None or type(channel) in (PerfectChannel, LossyChannel):
-        return get_engine("packed")
-    return get_engine("bigint")
-
 
 # -- shared helpers -----------------------------------------------------------
 
@@ -214,7 +108,7 @@ def run_checking_frame(
     l_c: int,
     ledger: EnergyLedger,
 ) -> Tuple[int, bool]:
-    """Run the checking frame (Alg. 1 lines 14–24); shared by all engines.
+    """Run the checking frame (Alg. 1 lines 14–24) for the oracle.
 
     Tags with pending data respond in slot 1; a tag that detects a response
     in slot j-1 responds (once) in slot j; the reader stops the frame at the
@@ -258,214 +152,163 @@ def run_checking_frame(
     return (executed if heard else l_c), heard
 
 
-# -- the big-int engine -------------------------------------------------------
+# -- the big-int oracle -------------------------------------------------------
 
 
-class BigintSessionEngine:
-    """The original engine: f-bit Python integers, one OR per edge.
+def run_bigint_session(
+    network: Network,
+    masks: Sequence[int],
+    config: CCMConfig,
+    *,
+    channel: Optional[Channel] = None,
+    rng: Optional[np.random.Generator] = None,
+    ledger: Optional[EnergyLedger] = None,
+) -> SessionResult:
+    """Run one CCM session with f-bit Python integers, one OR per edge.
 
-    Channel-agnostic — it drives the abstract
-    :meth:`~repro.net.channel.Channel.propagate` /
-    :meth:`~repro.net.channel.Channel.reader_senses` interface, so any
-    custom channel model works here.
+    ``masks`` is the per-tag list of f-bit integers (the slots each tag
+    initially sets busy), unvalidated — :func:`~repro.core.session.
+    run_session` checks lengths and bit ranges before it calls here.
+    Channel-agnostic: any :class:`~repro.net.channel.Channel` works.
     """
+    obs = obs_metrics.OBS
+    n = network.n_tags
+    f = config.frame_size
+    channel = channel or PerfectChannel()
+    ledger = ledger if ledger is not None else EnergyLedger(n)
+    l_c = config.checking_frame_length or default_checking_frame_length(
+        network
+    )
+    max_rounds = config.max_rounds if config.max_rounds is not None else l_c
 
-    name = "bigint"
+    with obs.span("setup"):
+        tier1 = network.tier1_mask
+        indptr, indices = network.indptr, network.indices
+        frame_mask = (1 << f) - 1
+        # Tags with no path to the reader can hold pending bits forever
+        # (they relay among themselves); only pending data on *reachable*
+        # tags means the session lost information.
+        reachable_idx = np.flatnonzero(network.reachable_mask).tolist()
 
-    def run(
-        self,
-        network: Network,
-        masks: Sequence[int],
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-    ) -> SessionResult:
-        obs = obs_metrics.OBS
-        n = network.n_tags
-        f = config.frame_size
-        channel = channel or PerfectChannel()
-        ledger = ledger if ledger is not None else EnergyLedger(n)
-        l_c = config.checking_frame_length or default_checking_frame_length(
-            network
-        )
-        max_rounds = config.max_rounds if config.max_rounds is not None else l_c
+        # Per-tag session state (exists only for the session; tags stay
+        # state-free across sessions).
+        pending = list(masks)  # to transmit next data frame
+        known = list(pending)  # ever picked/heard/transmitted
+        n_words = max(1, (f + 63) // 64)
+        # transmitted already -> sleep in those slots; kept bit-packed
+        # so the per-round monitor popcount is one NumPy reduction.
+        done_words = np.zeros((n, n_words), dtype=np.uint64)
+        silenced = 0  # indicator vector accumulated at the reader
+        reader_bitmap = 0  # B
+        iv_slots = indicator_vector_slots(f)
 
-        with obs.span("setup"):
-            tier1 = network.tier1_mask
-            indptr, indices = network.indptr, network.indices
-            frame_mask = (1 << f) - 1
-            # Tags with no path to the reader can hold pending bits forever
-            # (they relay among themselves); only pending data on *reachable*
-            # tags means the session lost information.
-            reachable_idx = np.flatnonzero(network.reachable_mask).tolist()
+    def _lost_data(pending_masks: List[int]) -> bool:
+        return any(pending_masks[t] for t in reachable_idx)
 
-            # Per-tag session state (exists only for the session; tags stay
-            # state-free across sessions).
-            pending = list(masks)  # to transmit next data frame
-            known = list(pending)  # ever picked/heard/transmitted
-            n_words = max(1, (f + 63) // 64)
-            # transmitted already -> sleep in those slots; kept bit-packed
-            # so the per-round monitor popcount is one NumPy reduction.
-            done_words = np.zeros((n, n_words), dtype=np.uint64)
-            silenced = 0  # indicator vector accumulated at the reader
-            reader_bitmap = 0  # B
-            iv_slots = indicator_vector_slots(f)
+    slots = SlotCount()
+    round_stats: List[RoundStats] = []
+    terminated_cleanly = False
+    rounds_run = 0
 
-        def _lost_data(pending_masks: List[int]) -> bool:
-            return any(pending_masks[t] for t in reachable_idx)
-
-        slots = SlotCount()
-        round_stats: List[RoundStats] = []
-        terminated_cleanly = False
-        rounds_run = 0
-
-        for round_index in range(1, max_rounds + 1):
-            rounds_run = round_index
-            with obs.span("round"):
-                # --- data frame -----------------------------------------
-                with obs.span("data_frame"):
-                    live = ~silenced & frame_mask
-                    transmit = [pending[t] & live for t in range(n)]
-                    transmitting = sum(1 for m in transmit if m)
-                    with obs.span("propagate"):
-                        heard = channel.propagate(
-                            transmit, indptr, indices, rng
-                        )
-                    reader_busy = channel.reader_senses(transmit, tier1, rng)
-
-                    # Energy for the frame: 1 bit per transmitted slot; 1
-                    # bit per carrier-sensed slot (tags monitor every slot
-                    # not silenced, not already relayed by them, and not
-                    # currently transmitted).  Popcounts run word-parallel
-                    # over the packed view.
-                    tx_words = masks_to_words(transmit, f)
-                    silenced_words = masks_to_words([silenced], f)[0]
-                    sent = _word_counts(tx_words).sum(axis=1)
-                    done_words |= tx_words
-                    monitored = _word_counts(
-                        silenced_words | done_words | tx_words
-                    ).sum(axis=1)
-                    ledger.add_sent_bulk(sent.astype(np.float64))
-                    ledger.add_received_bulk(
-                        (f - monitored).astype(np.float64)
+    for round_index in range(1, max_rounds + 1):
+        rounds_run = round_index
+        with obs.span("round"):
+            # --- data frame -----------------------------------------
+            with obs.span("data_frame"):
+                live = ~silenced & frame_mask
+                transmit = [pending[t] & live for t in range(n)]
+                transmitting = sum(1 for m in transmit if m)
+                with obs.span("propagate"):
+                    heard = channel.propagate(
+                        transmit, indptr, indices, rng
                     )
-                    slots += SlotCount(short_slots=f)
+                reader_busy = channel.reader_senses(transmit, tier1, rng)
 
-                    # Knowledge update: a tag learns a slot it heard,
-                    # unless it was transmitting in it (half duplex),
-                    # already knew it, or the reader had silenced it.
-                    # (done_words already absorbed this frame's transmits.)
-                    not_silenced = ~silenced
-                    new_pending = [0] * n
-                    for t in range(n):
-                        learned = (
-                            heard[t] & ~known[t] & ~transmit[t] & not_silenced
-                        )
-                        known[t] |= learned | transmit[t]
-                        new_pending[t] = learned
-
-                # --- indicator vector -----------------------------------
-                bits_new = (reader_busy & ~reader_bitmap).bit_count()
-                reader_bitmap |= reader_busy
-                if config.use_indicator_vector:
-                    with obs.span("indicator"):
-                        silenced = reader_bitmap
-                        # The reader ships V in ceil(f/96) 96-bit slots;
-                        # every tag receives the full f bits.
-                        slots += SlotCount(id_slots=iv_slots)
-                        ledger.add_received_to_all(float(f))
-                        keep = ~silenced
-                        new_pending = [m & keep for m in new_pending]
-                pending = new_pending
-
-                # --- checking frame -------------------------------------
-                with obs.span("checking"):
-                    has_pending = np.array(
-                        [bool(pending[t]) for t in range(n)]
-                    )
-                    executed, reader_heard = run_checking_frame(
-                        network, has_pending, l_c, ledger
-                    )
-                    slots += SlotCount(short_slots=executed)
-            round_stats.append(
-                RoundStats(
-                    round_index=round_index,
-                    transmitting_tags=transmitting,
-                    bits_new_at_reader=bits_new,
-                    checking_slots_executed=executed,
-                    reader_heard_checking=reader_heard,
-                    pending_tags=int(has_pending.sum()),
+                # Energy for the frame: 1 bit per transmitted slot; 1
+                # bit per carrier-sensed slot (tags monitor every slot
+                # not silenced, not already relayed by them, and not
+                # currently transmitted).  Popcounts run word-parallel
+                # over the packed view.
+                tx_words = masks_to_words(transmit, f)
+                silenced_words = masks_to_words([silenced], f)[0]
+                sent = _word_counts(tx_words).sum(axis=1)
+                done_words |= tx_words
+                monitored = _word_counts(
+                    silenced_words | done_words | tx_words
+                ).sum(axis=1)
+                ledger.add_sent_bulk(sent.astype(np.float64))
+                ledger.add_received_bulk(
+                    (f - monitored).astype(np.float64)
                 )
+                slots += SlotCount(short_slots=f)
+
+                # Knowledge update: a tag learns a slot it heard,
+                # unless it was transmitting in it (half duplex),
+                # already knew it, or the reader had silenced it.
+                # (done_words already absorbed this frame's transmits.)
+                not_silenced = ~silenced
+                new_pending = [0] * n
+                for t in range(n):
+                    learned = (
+                        heard[t] & ~known[t] & ~transmit[t] & not_silenced
+                    )
+                    known[t] |= learned | transmit[t]
+                    new_pending[t] = learned
+
+            # --- indicator vector -----------------------------------
+            bits_new = (reader_busy & ~reader_bitmap).bit_count()
+            reader_bitmap |= reader_busy
+            if config.use_indicator_vector:
+                with obs.span("indicator"):
+                    silenced = reader_bitmap
+                    # The reader ships V in ceil(f/96) 96-bit slots;
+                    # every tag receives the full f bits.
+                    slots += SlotCount(id_slots=iv_slots)
+                    ledger.add_received_to_all(float(f))
+                    keep = ~silenced
+                    new_pending = [m & keep for m in new_pending]
+            pending = new_pending
+
+            # --- checking frame -------------------------------------
+            with obs.span("checking"):
+                has_pending = np.array(
+                    [bool(pending[t]) for t in range(n)]
+                )
+                executed, reader_heard = run_checking_frame(
+                    network, has_pending, l_c, ledger
+                )
+                slots += SlotCount(short_slots=executed)
+        round_stats.append(
+            RoundStats(
+                round_index=round_index,
+                transmitting_tags=transmitting,
+                bits_new_at_reader=bits_new,
+                checking_slots_executed=executed,
+                reader_heard_checking=reader_heard,
+                pending_tags=int(has_pending.sum()),
             )
-            if not reader_heard:
-                terminated_cleanly = not _lost_data(pending)
-                break
-        else:
-            # Round bound exhausted with the checking frame still reporting
-            # pending data (can only happen with a non-default max_rounds or
-            # a pathological L_c — surfaced to the caller, not swallowed).
+        )
+        if not reader_heard:
             terminated_cleanly = not _lost_data(pending)
+            break
+    else:
+        # Round bound exhausted with the checking frame still reporting
+        # pending data (can only happen with a non-default max_rounds or
+        # a pathological L_c — surfaced to the caller, not swallowed).
+        terminated_cleanly = not _lost_data(pending)
 
-        return SessionResult(
-            bitmap=Bitmap(f, reader_bitmap),
-            rounds=rounds_run,
-            slots=slots,
-            ledger=ledger,
-            round_stats=round_stats,
-            terminated_cleanly=terminated_cleanly,
-        )
-
-
-# -- the batch kernel as a single-session engine ---------------------------
-
-
-class PackedSessionEngine:
-    """The batch kernel run on one session (B = 1).
-
-    Hands the session, already validated by
-    :func:`~repro.core.session.run_session`, to the kernel behind
-    :func:`repro.core.batch.run_session_batch` as a one-trial batch, so
-    single sessions and batched campaigns share one fast implementation
-    of Algorithm 1.  A caller-supplied ``ledger`` receives the session's
-    bits; the sums are integer-valued float64, so the totals are exact
-    in any association.
-    """
-
-    name = "packed"
-
-    def run(
-        self,
-        network: Network,
-        masks: Sequence[int],
-        config: CCMConfig,
-        *,
-        channel: Optional[Channel] = None,
-        rng: Optional[np.random.Generator] = None,
-        ledger: Optional[EnergyLedger] = None,
-    ) -> SessionResult:
-        # Deferred: repro.core.batch imports this module's helpers.
-        from repro.core.batch import _run_single
-
-        return _run_single(
-            network, masks, config, channel=channel, rng=rng, ledger=ledger
-        )
+    return SessionResult(
+        bitmap=Bitmap(f, reader_bitmap),
+        rounds=rounds_run,
+        slots=slots,
+        ledger=ledger,
+        round_stats=round_stats,
+        terminated_cleanly=terminated_cleanly,
+    )
 
 
-register_engine("bigint", BigintSessionEngine)
-register_engine("packed", PackedSessionEngine)
-
-# Re-exported for callers that want the propagation kernel directly.
 __all__ = [
-    "AUTO_ENGINE",
-    "SessionEngine",
-    "BigintSessionEngine",
-    "PackedSessionEngine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "resolve_engine",
+    "run_bigint_session",
     "run_checking_frame",
     "masks_to_words",
     "words_to_int",

@@ -54,14 +54,12 @@ def run_multireader_session(
     tag_ids: Optional[Sequence[int]] = None,
     channel: Optional[Channel] = None,
     rng: Optional[np.random.Generator] = None,
-    engine: str = "auto",
 ) -> MultiReaderResult:
     """Round-robin the readers, each collecting a bitmap via Algorithm 1.
 
     ``picks`` and ``tag_ids`` are indexed by the global tag population; the
     combined ledger is too, so energy per physical tag aggregates across
-    every window it participates in.  ``engine`` selects the per-window
-    session engine (see :mod:`repro.core.engine`).
+    every window it participates in.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
@@ -110,7 +108,6 @@ def run_multireader_session(
             config=config,
             channel=channel,
             rng=rng,
-            engine=engine,
         )
         per_reader.append(result)
         combined_bits |= result.bitmap.bits

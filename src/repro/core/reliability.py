@@ -50,7 +50,6 @@ def robust_collect(
     rng: np.random.Generator,
     max_sessions: int = 8,
     quiet_sessions: int = 2,
-    engine: str = "auto",
 ) -> RobustCollectResult:
     """OR-merge repeated sessions until the bitmap stops growing.
 
@@ -78,7 +77,6 @@ def robust_collect(
             channel=channel,
             rng=rng,
             ledger=ledger,
-            engine=engine,
         )
         sessions.append(result)
         slots += result.slots

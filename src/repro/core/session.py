@@ -28,17 +28,15 @@ Implementation notes
 --------------------
 This module is the *API*: parameter objects, result objects, validation,
 and the single entry point :func:`run_session`.  The per-round mechanics
-live in interchangeable :class:`~repro.core.engine.SessionEngine`
-implementations (``"bigint"`` big-int masks, ``"packed"`` the batch
-kernel at B = 1) selected by the keyword-only ``engine=`` argument; the
-default ``"auto"`` picks the fast packed engine for the built-in
-channels and the channel-agnostic bigint engine otherwise.  The tracer
-events and ``ccm_*`` protocol counters are derived once per session
-from the result (:func:`emit_session_observables`), not inside any
-engine's round loop.  Tags are
-*state-free*: the per-tag state the engines carry (pending/known/done
-masks) exists only *within* one session, exactly as in the protocol, and
-nothing survives between sessions.
+run on the batch kernel (:mod:`repro.core.batch`, at B = 1) for the
+built-in channels, and on the channel-agnostic big-int oracle
+(:func:`repro.core.engine.run_bigint_session`) for any other
+:class:`~repro.net.channel.Channel`; the two are bit-identical.  The
+tracer events and ``ccm_*`` protocol counters are derived once per
+session from the result (:func:`emit_session_observables`), not inside
+any round loop.  Tags are *state-free*: the per-tag state a session
+carries (pending/known/done masks) exists only *within* one session,
+exactly as in the protocol, and nothing survives between sessions.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.net.channel import Channel
+from repro.net.channel import Channel, LossyChannel, PerfectChannel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
 from repro.net.topology import Network
@@ -182,7 +180,7 @@ def emit_session_observables(
     ``checking``, then ``session_end``).  Everything is derived from the
     result — the reader's busy total after a frame is the running sum of
     newly heard bits, and the indicator vector is exactly that busy set —
-    so every engine yields the same events.  Call it once per session.
+    so the kernel and the oracle yield the same events.  Call it once per session.
     """
     obs = obs_metrics.OBS
     if obs.enabled:
@@ -238,7 +236,6 @@ def run_session(
     rng: Optional[np.random.Generator] = None,
     ledger: Optional[EnergyLedger] = None,
     tracer: Optional[SessionTracer] = None,
-    engine: str = "auto",
 ) -> SessionResult:
     """Execute one CCM session (Algorithm 1) and account time and energy.
 
@@ -263,7 +260,10 @@ def run_session(
         Session parameters.
     channel:
         Slot-level channel model; defaults to the paper's perfect
-        busy/idle sensing.
+        busy/idle sensing.  ``None``, :class:`~repro.net.channel.
+        PerfectChannel` and :class:`~repro.net.channel.LossyChannel`
+        (exact types) run on the batch kernel; any other channel runs
+        on the big-int oracle.
     rng:
         Randomness source, required only by lossy channels.
     ledger:
@@ -272,19 +272,11 @@ def run_session(
     tracer:
         Optional :class:`~repro.sim.trace.SessionTracer` receiving one
         structured event per protocol step.
-    engine:
-        Which :class:`~repro.core.engine.SessionEngine` runs the session:
-        ``"packed"`` (the batch kernel at B = 1), ``"bigint"`` (f-bit
-        Python integers), any :func:`~repro.core.engine.register_engine`'d
-        name, or ``"auto"`` (packed for the built-in channels, bigint
-        otherwise).  The built-in engines are bit-identical.
     """
-    from repro.core import engine as _engine_mod
-
     obs = obs_metrics.OBS
-    # The session span covers the whole entry point (validation, engine
-    # resolution, the run, metric recording), so its cumulative time is
-    # the session wall time a caller measures around this call.
+    # The session span covers the whole entry point (validation, the run,
+    # metric recording), so its cumulative time is the session wall time
+    # a caller measures around this call.
     with obs.span("session"):
         n = network.n_tags
         if (picks is None) == (masks is None):
@@ -313,15 +305,14 @@ def run_session(
                     f"initial mask {out_of_range[0]:#x} has bits outside the "
                     f"{config.frame_size}-slot frame"
                 )
-        impl = _engine_mod.resolve_engine(engine, channel)
+        if channel is None or type(channel) in (PerfectChannel, LossyChannel):
+            # Deferred: repro.core.batch imports this module.
+            from repro.core.batch import _run_single as run_impl
+        else:
+            from repro.core.engine import run_bigint_session as run_impl
         started = time.perf_counter()
-        result = impl.run(
-            network,
-            masks,
-            config,
-            channel=channel,
-            rng=rng,
-            ledger=ledger,
+        result = run_impl(
+            network, masks, config, channel=channel, rng=rng, ledger=ledger
         )
         emit_session_observables(result, config, tracer)
         if obs.enabled:

@@ -60,7 +60,6 @@ import time
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.core.engine import available_engines
 from repro.scenario.trajectory import TRAJECTORY_NAMES
 from repro.sim.parallel import stderr_ticker
 from repro.sim.plan import RunPlan, add_execution_arguments
@@ -160,7 +159,6 @@ def cmd_tables(args: argparse.Namespace) -> None:
             "n_trials": scale.n_trials,
             "tag_ranges": list(ranges),
         },
-        engine=args.engine,
         elapsed_s=elapsed,
     )
     if args.json:
@@ -365,8 +363,8 @@ def _profile_campaign(args: argparse.Namespace) -> None:
     ``--backend process`` the per-phase numbers come from worker
     registry snapshots merged back into this process — the profile shows
     where the *workers* spent their time, not just the harvest loop.
-    ``--engine batch`` routes through the batched session engine
-    (``campaign/session_batch`` spans) instead of per-trial dispatch.
+    ``--batch B`` stacks B trials per batched-kernel call instead of
+    dispatching per trial.
     """
     from repro.experiments.common import SessionBatchTrial
     from repro.obs import (
@@ -382,7 +380,6 @@ def _profile_campaign(args: argparse.Namespace) -> None:
 
     n, f, r = args.n, args.frame, args.range
     seed = args.seed if args.seed is not None else 7
-    batched = args.engine == "batch"
     trial = SessionBatchTrial(
         tag_range=r,
         n_tags=n,
@@ -390,11 +387,10 @@ def _profile_campaign(args: argparse.Namespace) -> None:
         participation=args.participation,
         loss=args.loss if args.loss is not None else 0.0,
         topology_seed=seed,
-        engine="packed" if args.engine in ("auto", "batch") else args.engine,
     )
     plan = RunPlan(
         executor=ExecutorConfig(workers=args.workers, backend=args.backend),
-        batch=args.batch if args.batch else (8 if batched else 1),
+        batch=args.batch,
         trace=TraceContext.new(),
     )
     registry = MetricsRegistry(trace=plan.trace)
@@ -408,7 +404,7 @@ def _profile_campaign(args: argparse.Namespace) -> None:
     print(
         f"profile: campaign n={n} f={f} r={r:g} trials={args.trials} "
         f"backend={args.backend} workers={args.workers} "
-        f"batch={plan.batch} engine={args.engine}{loss_note} seed={seed} "
+        f"batch={plan.batch}{loss_note} seed={seed} "
         f"trace={plan.trace.trace_id}"
     )
     print(
@@ -449,7 +445,6 @@ def _profile_campaign(args: argparse.Namespace) -> None:
             "batch": plan.batch,
             **({"loss": args.loss} if args.loss is not None else {}),
         },
-        engine=args.engine,
         elapsed_s=wall_s,
         trace_id=plan.trace.trace_id,
         extra={"n_ok": result.n_ok, "cache_hits": result.cache_hits},
@@ -465,11 +460,6 @@ def cmd_profile(args: argparse.Namespace) -> None:
     if args.trials is not None:
         _profile_campaign(args)
         return
-    if args.engine == "batch":
-        raise SystemExit(
-            "repro-ccm: error: --engine batch profiles the batched "
-            "campaign path; it needs --trials N"
-        )
     from repro.core.session import CCMConfig, run_session
     from repro.net.topology import PaperDeployment, paper_network
     from repro.obs import (
@@ -516,7 +506,6 @@ def cmd_profile(args: argparse.Namespace) -> None:
             config=CCMConfig(frame_size=f),
             channel=channel,
             rng=rng,
-            engine=args.engine,
             tracer=tracer,
         )
         wall_s = time.perf_counter() - started
@@ -525,8 +514,8 @@ def cmd_profile(args: argparse.Namespace) -> None:
             set_registry(previous)
     loss_note = "" if args.loss is None else f" loss={args.loss:g}"
     print(
-        f"profile: n={n} f={f} r={r:g} participation={args.participation:g} "
-        f"engine={args.engine}{loss_note} seed={seed}"
+        f"profile: n={n} f={f} r={r:g} participation={args.participation:g}"
+        f"{loss_note} seed={seed}"
     )
     print(
         f"session: {result.rounds} rounds, {result.total_slots} slots, "
@@ -547,7 +536,6 @@ def cmd_profile(args: argparse.Namespace) -> None:
             "participation": args.participation,
             **({"loss": args.loss} if args.loss is not None else {}),
         },
-        engine=args.engine,
         elapsed_s=wall_s,
         extra={"rounds": result.rounds, "total_slots": result.total_slots},
     ).write(manifest_path)
@@ -615,7 +603,7 @@ def cmd_cache_ls(args: argparse.Namespace) -> None:
     store = _cache_store(args)
     print(f"cache {store.root}")
     header = (
-        f"{'key':<14}{'trial':<40}{'seed':>12}{'engine':>8}{'bytes':>9}"
+        f"{'key':<14}{'trial':<40}{'seed':>12}{'bytes':>9}"
     )
     rows = 0
     for entry in store.entries():
@@ -632,7 +620,6 @@ def cmd_cache_ls(args: argparse.Namespace) -> None:
             f"{entry.key[:12]:<14}"
             f"{(trial_type + '(' + detail + ')')[:39]:<40}"
             f"{fields.get('seed', '?'):>12}"
-            f"{str(fields.get('engine')):>8}"
             f"{entry.size_bytes:>9}"
         )
     if rows == 0:
@@ -773,7 +760,6 @@ def _sweep_job_spec(args: argparse.Namespace) -> dict:
                 "tag_range": 0.0,  # swept; overridden per axis point
                 "n_tags": scale.n_tags,
                 "protocols": list(PROTOCOLS),
-                "engine": plan.engine,
             },
         },
         "n_trials": scale.n_trials,
@@ -1089,12 +1075,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=None)
     # The one shared execution-options group: every subcommand mounts
-    # exactly the same --workers/--backend/--batch/--engine/--progress/
+    # exactly the same --workers/--backend/--batch/--progress/
     # --cache/--no-cache/--cache-dir/--resume flags, and
     # RunPlan.from_args is the single interpreter for all of them.
-    add_execution_arguments(
-        common, engines=("auto", *sorted(available_engines()))
-    )
+    add_execution_arguments(common)
     common.add_argument(
         "--out", type=str, default=None, help="append reports to this file"
     )
@@ -1158,12 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument("--seed", type=int, default=None)
     prof.add_argument(
-        "--engine", choices=("auto", "batch", *sorted(available_engines())),
-        default="auto",
-        help="session engine; 'batch' profiles the batched campaign "
-             "path (needs --trials)",
-    )
-    prof.add_argument(
         "--trials", type=int, default=None,
         help="campaign mode: profile N trials through the campaign "
              "machinery (merged per-trial phase breakdowns)",
@@ -1179,9 +1157,9 @@ def build_parser() -> argparse.ArgumentParser:
              "'process' merges worker registry snapshots back",
     )
     prof.add_argument(
-        "--batch", type=int, default=None,
+        "--batch", type=int, default=1,
         help="trials stacked per batched session call (campaign mode; "
-             "default: 8 with --engine batch, else 1)",
+             "default: 1 = per-trial dispatch)",
     )
     prof.add_argument(
         "--sort", choices=("self", "cum", "tree"), default="self",
@@ -1535,9 +1513,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=90_210,
         help="base seed for the trial family (default: 90210)",
     )
-    add_execution_arguments(
-        scen_sweep, engines=("auto", *sorted(available_engines()))
-    )
+    add_execution_arguments(scen_sweep)
     scen_sweep.set_defaults(func=cmd_scenario)
     return parser
 

@@ -41,13 +41,10 @@ def run_ccm_application(
     frame_size: int,
     participation: float,
     seed: int,
-    engine: str = "auto",
 ) -> Dict[str, float]:
     """One CCM session (the per-table unit of cost for GMLE/TRP) -> metrics."""
     picks = frame_picks(network.tag_ids, frame_size, participation, seed)
-    result = run_session(
-        network, picks, config=CCMConfig(frame_size=frame_size), engine=engine
-    )
+    result = run_session(network, picks, config=CCMConfig(frame_size=frame_size))
     metrics = {"slots": float(result.total_slots), "rounds": float(result.rounds)}
     metrics.update(result.ledger.summary())
     return metrics
@@ -70,7 +67,6 @@ def paper_trial_metrics(
     n_tags: int,
     seed: int,
     protocols: Sequence[str] = PROTOCOLS,
-    engine: str = "auto",
 ) -> Dict[str, float]:
     """Deploy one network and run the selected protocols on it.
 
@@ -97,12 +93,10 @@ def paper_trial_metrics(
                     cfg.GMLE_FRAME_SIZE,
                     cfg.gmle_participation(n_tags),
                     seed=seed + 22,
-                    engine=engine,
                 )
             elif name == "trp_ccm":
                 sub = run_ccm_application(
-                    network, cfg.trp_frame_for(n_tags), 1.0, seed=seed + 33,
-                    engine=engine,
+                    network, cfg.trp_frame_for(n_tags), 1.0, seed=seed + 33
                 )
             else:
                 raise ValueError(f"unknown protocol {name!r}")
@@ -124,11 +118,10 @@ class PaperTrial:
     tag_range: float
     n_tags: int
     protocols: Tuple[str, ...] = PROTOCOLS
-    engine: str = "auto"
 
     def __call__(self, trial_index: int, seed: int) -> Dict[str, float]:
         return paper_trial_metrics(
-            self.tag_range, self.n_tags, seed, self.protocols, self.engine
+            self.tag_range, self.n_tags, seed, self.protocols
         )
 
 
@@ -136,10 +129,9 @@ def make_trial(
     tag_range: float,
     n_tags: int,
     protocols: Sequence[str] = PROTOCOLS,
-    engine: str = "auto",
 ) -> TrialFn:
     """Build a :mod:`repro.sim.runner` trial function for one range."""
-    return PaperTrial(tag_range, n_tags, tuple(protocols), engine)
+    return PaperTrial(tag_range, n_tags, tuple(protocols))
 
 
 #: Rebuilt topologies, keyed by the deployment parameters that determine
@@ -179,7 +171,6 @@ class SessionBatchTrial:
     participation: float = 1.0
     loss: float = 0.0
     topology_seed: int = 0
-    engine: str = "packed"
     field_radius: float = 30.0
     reader_range: float = 30.0
     tag_to_reader_range: float = 20.0
@@ -291,13 +282,9 @@ class SessionBatchTrial:
                 config=self._config(),
                 channel=LossyChannel(loss=self.loss),
                 rng=rng,
-                engine=self.engine,
             )
         else:
-            result = run_session(
-                network, masks=masks, config=self._config(),
-                engine=self.engine,
-            )
+            result = run_session(network, masks=masks, config=self._config())
         return self._metrics(result)
 
     def run_batch(
@@ -337,18 +324,15 @@ def sweep_tag_range(
     memoizes every (range, trial) cell through the result cache —
     :class:`PaperTrial` is a frozen dataclass precisely so its config
     canonicalizes into the content address — ``plan.resume`` continues a
-    killed campaign from whatever the store already holds, and
-    ``plan.engine`` selects the session kernel.  ``on_trial_done``
-    observes trial completions, e.g. a progress ticker.
+    killed campaign from whatever the store already holds.
+    ``on_trial_done`` observes trial completions, e.g. a progress ticker.
     """
     plan = plan if plan is not None else RunPlan()
     ranges = tuple(tag_ranges if tag_ranges is not None else scale.tag_ranges)
     return sweep(
         parameter="tag_range_m",
         values=ranges,
-        trial_factory=lambda r: make_trial(
-            r, scale.n_tags, protocols, plan.engine
-        ),
+        trial_factory=lambda r: make_trial(r, scale.n_tags, protocols),
         n_trials=scale.n_trials,
         base_seed=scale.base_seed,
         on_trial_done=on_trial_done,

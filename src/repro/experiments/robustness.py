@@ -56,7 +56,6 @@ class RobustnessTrial:
     tag_range: float
     frame_size: int
     max_sessions: int = 6
-    engine: str = "auto"
 
     def __call__(self, trial_index: int, seed: int) -> Dict[str, float]:
         network = paper_network(
@@ -73,15 +72,14 @@ class RobustnessTrial:
         config = CCMConfig(frame_size=self.frame_size)
 
         single = run_session(
-            network, picks, config=config, channel=channel, rng=rng,
-            engine=self.engine,
+            network, picks, config=config, channel=channel, rng=rng
         )
         missed = truth.difference(single.bitmap).popcount()
         phantom = single.bitmap.difference(truth).popcount()
 
         robust = robust_collect(
             network, picks, config=config, channel=channel, rng=rng,
-            max_sessions=self.max_sessions, engine=self.engine,
+            max_sessions=self.max_sessions,
         )
         missed_r = truth.difference(robust.bitmap).popcount()
         denom = max(truth.popcount(), 1)
@@ -112,11 +110,8 @@ def run(
 
     The loss axis runs through :func:`repro.sim.runner.sweep`, so lossy
     sweeps get the same campaign machinery as every other experiment:
-    ``plan.executor`` fans trials over workers, ``plan.store`` /
-    ``plan.resume`` memoize them through the result cache, and
-    ``plan.engine`` picks the session engine (the default ``"auto"``
-    resolves to packed — lossy results are bit-identical across engines
-    under the ``repro-channel-rng-v1`` contract).
+    ``plan.executor`` fans trials over workers, and ``plan.store`` /
+    ``plan.resume`` memoize them through the result cache.
     """
     plan = plan if plan is not None else RunPlan()
     result = sweep(
@@ -127,7 +122,6 @@ def run(
             n_tags=n_tags,
             tag_range=tag_range,
             frame_size=frame_size,
-            engine=plan.engine,
         ),
         n_trials=n_trials,
         base_seed=base_seed,

@@ -118,8 +118,8 @@ def run(
     """Motion-vs-static comparison over a trajectory family.
 
     ``static`` runs always-powered with no mobility — the paper's setup,
-    pinned bit-identical to the plain engines — so the other rows read as
-    degradation relative to it.  Moving trajectories get the power
+    pinned bit-identical to a plain ``run_session`` — so the other rows
+    read as degradation relative to it.  Moving trajectories get the power
     threshold and between-operation tag mobility.
     """
     rows: List[MotionRow] = []

@@ -15,8 +15,9 @@ Two implementations are provided:
   to study CCM under unreliable channels (a paper-adjacent extension; the
   paper assumes reliable sensing).
 
-Each channel speaks two frame representations, matching the two session
-engines in :mod:`repro.core.engine`:
+Each channel speaks two frame representations, matching the big-int
+oracle (:mod:`repro.core.engine`) and the batch kernel
+(:mod:`repro.core.batch`):
 
 * the **big-int** interface (:meth:`Channel.propagate` /
   :meth:`Channel.reader_senses`): ``transmit[u]`` is an f-bit Python
@@ -28,8 +29,9 @@ engines in :mod:`repro.core.engine`:
   (:func:`or_reduce_segments`).
 
 Third-party channels only have to implement the big-int interface; the
-packed methods default to "unsupported" and the packed engine refuses such
-channels with a clear error.
+packed methods default to "unsupported", and
+:func:`~repro.core.session.run_session` runs any channel that is not an
+exact built-in type on the oracle.
 
 The channel RNG-draw contract (``repro-channel-rng-v1``)
 --------------------------------------------------------
@@ -140,14 +142,14 @@ class Channel(abc.ABC):
     """Propagation semantics for one frame (all f slots of one round)."""
 
     #: True when the packed-word interface below is implemented; the
-    #: packed session engine checks this before dispatching.
+    #: batch kernel checks this before dispatching.
     supports_packed = False
 
     @property
     def is_perfect(self) -> bool:
         """True when this channel is *exactly* reliable busy/idle sensing.
 
-        The packed engine uses this to route sessions onto the slot-major
+        The batch kernel uses this to route sessions onto the slot-major
         fast path, which never calls the channel and never draws
         randomness — so it must hold only for channels whose propagation
         is the plain neighbourhood OR.  Deliberately strict about types:
@@ -180,7 +182,7 @@ class Channel(abc.ABC):
         -------
         ``heard`` where ``heard[t]`` is the f-bit integer of slots in which
         tag ``t`` senses a busy channel (before half-duplex masking — the
-        session engine removes the slots ``t`` itself transmitted in).
+        session removes the slots ``t`` itself transmitted in).
         """
 
     @abc.abstractmethod
@@ -204,7 +206,8 @@ class Channel(abc.ABC):
         """:meth:`propagate` over an ``(n, ceil(f/64))`` uint64 array."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the packed-word "
-            "channel interface; run sessions with engine='bigint'"
+            "channel interface; run_session runs this channel on the big-int "
+            "oracle"
         )
 
     def reader_senses_packed(
@@ -216,7 +219,8 @@ class Channel(abc.ABC):
         """:meth:`reader_senses` over packed words -> a ``(W,)`` word run."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the packed-word "
-            "channel interface; run sessions with engine='bigint'"
+            "channel interface; run_session runs this channel on the big-int "
+            "oracle"
         )
 
 
@@ -298,8 +302,9 @@ class LossyChannel(Channel):
     (see the module docstring): the big-int methods are the scalar
     reference implementation, and the packed methods batch the identical
     draws with word-level masking — so for a fixed seed the two produce
-    bit-identical results, which is what lets ``engine="auto"`` route
-    lossy sessions onto the packed engine.
+    bit-identical results, which is what lets
+    :func:`~repro.core.session.run_session` route lossy sessions onto
+    the batch kernel.
     """
 
     supports_packed = True

@@ -208,7 +208,6 @@ class CCMTransport(FrameTransport):
         use_indicator_vector: bool = True,
         channel: Optional[Channel] = None,
         rng: Optional[np.random.Generator] = None,
-        engine: str = "auto",
     ):
         super().__init__(network.n_tags)
         self.network = network
@@ -216,17 +215,18 @@ class CCMTransport(FrameTransport):
         self.use_indicator_vector = use_indicator_vector
         self.channel = channel
         self.rng = rng
-        self.engine = engine
         self.sessions: List[SessionResult] = []
 
     @property
     def tag_ids(self) -> np.ndarray:
         return self.network.tag_ids
 
-    def run_frame(
-        self, frame_size: int, probability: float, seed: int
+    def _run_session(
+        self,
+        frame_size: int,
+        picks: Optional[Sequence[int]] = None,
+        masks: Optional[Sequence[int]] = None,
     ) -> FrameOutcome:
-        picks = frame_picks(self.network.tag_ids, frame_size, probability, seed)
         config = CCMConfig(
             frame_size=frame_size,
             checking_frame_length=self.checking_frame_length,
@@ -235,39 +235,11 @@ class CCMTransport(FrameTransport):
         result = run_session(
             self.network,
             picks,
-            config=config,
-            channel=self.channel,
-            rng=self.rng,
-            ledger=self._ledger,
-            engine=self.engine,
-        )
-        self.sessions.append(result)
-        return self._record(
-            FrameOutcome(
-                bitmap=result.bitmap,
-                slots=result.slots,
-                rounds=result.rounds,
-                terminated_cleanly=result.terminated_cleanly,
-            )
-        )
-
-    def run_search_frame(
-        self, frame_size: int, k_hashes: int, seed: int
-    ) -> FrameOutcome:
-        masks = search_masks(self.network.tag_ids, frame_size, k_hashes, seed)
-        config = CCMConfig(
-            frame_size=frame_size,
-            checking_frame_length=self.checking_frame_length,
-            use_indicator_vector=self.use_indicator_vector,
-        )
-        result = run_session(
-            self.network,
             masks=masks,
             config=config,
             channel=self.channel,
             rng=self.rng,
             ledger=self._ledger,
-            engine=self.engine,
         )
         self.sessions.append(result)
         return self._record(
@@ -279,32 +251,28 @@ class CCMTransport(FrameTransport):
             )
         )
 
+    def run_frame(
+        self, frame_size: int, probability: float, seed: int
+    ) -> FrameOutcome:
+        return self._run_session(
+            frame_size,
+            frame_picks(self.network.tag_ids, frame_size, probability, seed),
+        )
+
+    def run_search_frame(
+        self, frame_size: int, k_hashes: int, seed: int
+    ) -> FrameOutcome:
+        return self._run_session(
+            frame_size,
+            masks=search_masks(
+                self.network.tag_ids, frame_size, k_hashes, seed
+            ),
+        )
+
     def run_pick_frame(
         self, frame_size: int, picks: Sequence[int]
     ) -> FrameOutcome:
-        config = CCMConfig(
-            frame_size=frame_size,
-            checking_frame_length=self.checking_frame_length,
-            use_indicator_vector=self.use_indicator_vector,
-        )
-        result = run_session(
-            self.network,
-            list(picks),
-            config=config,
-            channel=self.channel,
-            rng=self.rng,
-            ledger=self._ledger,
-            engine=self.engine,
-        )
-        self.sessions.append(result)
-        return self._record(
-            FrameOutcome(
-                bitmap=result.bitmap,
-                slots=result.slots,
-                rounds=result.rounds,
-                terminated_cleanly=result.terminated_cleanly,
-            )
-        )
+        return self._run_session(frame_size, list(picks))
 
 
 class MultiReaderCCMTransport(FrameTransport):
@@ -319,7 +287,6 @@ class MultiReaderCCMTransport(FrameTransport):
         checking_frame_length: Optional[int] = None,
         channel: Optional[Channel] = None,
         rng: Optional[np.random.Generator] = None,
-        engine: str = "auto",
     ):
         positions = np.asarray(positions, dtype=np.float64)
         n = positions.shape[0]
@@ -335,7 +302,6 @@ class MultiReaderCCMTransport(FrameTransport):
         self.checking_frame_length = checking_frame_length
         self.channel = channel
         self.rng = rng
-        self.engine = engine
 
     @property
     def tag_ids(self) -> np.ndarray:
@@ -358,7 +324,6 @@ class MultiReaderCCMTransport(FrameTransport):
             tag_ids=self._tag_ids,
             channel=self.channel,
             rng=self.rng,
-            engine=self.engine,
         )
         self._ledger.merge(result.ledger)
         return self._record(

@@ -11,15 +11,12 @@ operations on a shared wall clock (slot counts × Gen2-derived
 * a reader trajectory family — static, aisle drive-by, UAV lawnmower
   sweep, waypoints (:mod:`repro.scenario.trajectory`);
 * link-budget tag power-cycling (:mod:`repro.scenario.power`);
-* the ``"scenario"`` session engine — the batch kernel with per-round
-  reader-motion and power-mask hooks, bit-identical to the static
-  engines when the hooks are off (:mod:`repro.scenario.engine`);
+* the scenario session engine — the batch kernel with per-round
+  reader-motion and power-mask hooks, bit-identical to
+  :func:`~repro.core.session.run_session` when the hooks are off
+  (:mod:`repro.scenario.engine`);
 * :func:`~repro.scenario.run.run_scenario`, the top-level entry the
   ``repro scenario`` CLI, the motion experiment and the benchmarks use.
-
-Importing this package registers the ``"scenario"`` engine in the
-:func:`repro.core.engine.register_engine` registry (``repro/__init__``
-imports it, so any ``import repro...`` makes the engine resolvable).
 """
 
 from repro.scenario.engine import ScenarioConfig, ScenarioSessionEngine

@@ -1,9 +1,7 @@
 """The scenario session engine: Algorithm 1 under motion and power-cycling.
 
-:class:`ScenarioSessionEngine` is a :class:`~repro.core.engine.
-SessionEngine` (registered as ``"scenario"``) that runs one session on
-the batch kernel (:mod:`repro.core.batch`, B = 1) and hands it a
-per-round hook:
+:class:`ScenarioSessionEngine` runs one session on the batch kernel
+(:mod:`repro.core.batch`, B = 1) and hands it a per-round hook:
 
 1. **Reader motion** — at each round's start time (accumulated slot count
    × :class:`~repro.net.timing.SlotTiming`, Gen2-derived by default) the
@@ -24,9 +22,9 @@ position, powered count and relink flag.
 
 With the hooks disabled (no trajectory or a static one, no link budget —
 the default ``ScenarioConfig()``), the engine passes no hook and the
-session is routed like the ``"packed"`` engine's: bit-identical bitmap,
-rounds, slots, round stats and ledger floats, at slot-major speed on the
-perfect channel — the static-equivalence pin the tests and CI smoke
+session is routed like :func:`~repro.core.session.run_session`'s:
+bit-identical bitmap, rounds, slots, round stats and ledger floats, at
+slot-major speed on the perfect channel — the static-equivalence pin the tests and CI smoke
 assert against ``run_session``.
 
 A session that terminates while a *sleeping* reachable tag still holds
@@ -43,7 +41,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batch import _run_single
-from repro.core.engine import register_engine
 from repro.core.session import CCMConfig, SessionResult
 from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
@@ -72,8 +69,8 @@ class ScenarioConfig:
     """Within-session dynamics of a scenario run.
 
     The default — no trajectory, no link budget — is the static
-    configuration, under which the engine is bit-identical to the plain
-    engines (the static-equivalence pin).
+    configuration, under which the engine is bit-identical to
+    :func:`~repro.core.session.run_session` (the static-equivalence pin).
 
     Parameters
     ----------
@@ -108,8 +105,6 @@ class ScenarioConfig:
 
 class ScenarioSessionEngine:
     """The batch kernel (B = 1) with per-round motion and power hooks."""
-
-    name = "scenario"
 
     def __init__(self, scenario: Optional[ScenarioConfig] = None) -> None:
         self.scenario = scenario or ScenarioConfig()
@@ -230,6 +225,3 @@ def _move_reader(network: Network, position: Point) -> Network:
     return network.with_readers(
         [replace(reader, position=position)] + list(network.readers[1:])
     )
-
-
-register_engine("scenario", ScenarioSessionEngine)

@@ -11,7 +11,7 @@ and derives a boolean *powered mask* per round from each tag's distance
 to the nearest reader: a tag participates in a round iff
 ``P_rx ≥ threshold_dbm``.  ``threshold_dbm=None`` disables power-cycling
 entirely (every tag always powered) — the configuration under which the
-scenario engine is bit-identical to the static engines.
+scenario engine is bit-identical to a plain ``run_session``.
 
 Defaults: 36 dBm EIRP (the 4 W regulatory limit), free-space reference
 loss of 31.7 dB at 1 m for 915 MHz, and path-loss exponent 2.0.  With

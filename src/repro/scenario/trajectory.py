@@ -13,7 +13,7 @@ roadmap cites motivates the shapes):
 * :class:`StaticTrajectory` — the paper's fixed reader.  The scenario
   engine special-cases it (and ``trajectory=None``): the network is
   never rebuilt, which is what keeps the static case bit-identical to
-  the plain engines.
+  a plain ``run_session``.
 * :class:`AisleTrajectory` — a drive-by: constant velocity along a
   straight line through the field (a forklift or conveyor pass).
 * :class:`LawnmowerTrajectory` — a UAV sweep: boustrophedon lanes over

@@ -6,7 +6,7 @@ seeds, no shared state), which makes trial-level fan-out the natural
 parallelism.  This module provides it:
 
 * :class:`ExecutorConfig` — where and how trials run (``process`` /
-  ``thread`` / ``serial`` backend, worker count, chunking, timeout,
+  ``thread`` / ``serial`` backend, worker count, timeout,
   bounded retry, ``fail_fast``).
 * :class:`Campaign` — the forward-facing object API: a trial function,
   a trial count, a base seed, and an executor; ``run()`` returns a
@@ -109,9 +109,6 @@ class ExecutorConfig:
         picklable), ``"thread"`` (shared memory, useful when trials release
         the GIL or for testing), or ``"serial"`` (in-process loop that
         still provides failure capture, retries and progress).
-    chunk_size:
-        Trials submitted per worker task; raise it to amortise IPC when
-        individual trials are very cheap.
     timeout_s:
         Overall wall-clock budget for the campaign's result harvest; on
         expiry pending work is cancelled and :class:`CampaignTimeout` is
@@ -127,7 +124,6 @@ class ExecutorConfig:
 
     workers: int = 0
     backend: str = "process"
-    chunk_size: int = 1
     timeout_s: Optional[float] = None
     max_retries: int = 0
     fail_fast: bool = False
@@ -139,8 +135,6 @@ class ExecutorConfig:
             )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries < 0:
@@ -235,7 +229,7 @@ class CampaignResult:
     ``worker_utilization`` is ``total_trial_wall_s / (elapsed_s ×
     workers)`` — the fraction of the worker pool's capacity the campaign
     actually kept busy (low values mean IPC/queueing dominate and fewer
-    workers or bigger chunks would do as well).
+    workers or a larger ``plan.batch`` would do as well).
 
     ``cache_hits`` counts trials served from the
     :class:`~repro.store.cache.ResultStore` instead of being computed
@@ -559,8 +553,8 @@ class Campaign:
 
     ``plan.store`` plugs in a :class:`~repro.store.cache.ResultStore` as
     a read-through/write-through memoization layer: before any trial is
-    dispatched its content address (trial config + index + seed + engine
-    + code fingerprint) is checked against the store, hits are served
+    dispatched its content address (trial config + index + seed + code
+    fingerprint) is checked against the store, hits are served
     from disk (in trial-index order, ``from_cache=True`` to four-argument
     progress callbacks), and every computed first-attempt success is
     written back atomically.  Aggregates are bit-identical with the
@@ -657,9 +651,9 @@ class Campaign:
             if attempts > 1:
                 obs.inc("campaign_retries_total", attempts - 1)
             obs.observe("campaign_trial_wall_s", wall_s)
-            # Queue wait: all chunks are submitted up front, so a trial's
+            # Queue wait: all tasks are submitted up front, so a trial's
             # wait-for-a-worker is its completion time minus its own wall
-            # time (an upper bound when chunk_size > 1 lumps siblings).
+            # time (an upper bound when a batch task lumps siblings).
             obs.observe("campaign_queue_wait_s", max(0.0, elapsed - wall_s))
             if failure is not None:
                 failures.append(failure)
@@ -704,8 +698,6 @@ class Campaign:
                     )
                     if use_batch:
                         # B trials per task through the batched kernel.
-                        # Batch grouping *is* the chunking in this mode
-                        # (ExecutorConfig.chunk_size is ignored).
                         groups = [
                             pending[i : i + batch]
                             for i in range(0, len(pending), batch)
@@ -787,7 +779,6 @@ class Campaign:
                 "(e.g. repro.experiments.common.PaperTrial), give it a "
                 "cache_config() method, or pass trial_config= explicitly"
             )
-        engine = getattr(self.trial_fn, "engine", None)
         fingerprint = code_fingerprint()
         keys: List[str] = []
         key_fields: List[Dict[str, Any]] = []
@@ -797,19 +788,16 @@ class Campaign:
                 "trial": config,
                 "trial_index": k,
                 "seed": trial_seed(self.base_seed, k),
-                "engine": engine,
                 "code_fingerprint": fingerprint,
             }
             key_fields.append(fields_k)
             keys.append(
-                trial_key(
-                    config, k, fields_k["seed"], engine, fingerprint
-                )
+                trial_key(config, k, fields_k["seed"], fingerprint)
             )
         ckpt = CampaignCheckpoint(
             self.store.root,
             campaign_key(
-                config, self.n_trials, self.base_seed, engine, fingerprint
+                config, self.n_trials, self.base_seed, fingerprint
             ),
             namespace=self.plan.checkpoint_namespace,
             trace_id=(
@@ -823,7 +811,6 @@ class Campaign:
                 "trial": config,
                 "n_trials": self.n_trials,
                 "base_seed": self.base_seed,
-                "engine": engine,
                 "code_fingerprint": fingerprint,
             },
             resume=self.resume,
@@ -834,7 +821,7 @@ class Campaign:
             keys=keys,
             key_fields=key_fields,
             checkpoint=ckpt,
-            provenance_base=ResultStore.default_provenance(engine=engine),
+            provenance_base=ResultStore.default_provenance(),
             prior_done=prior.n_done,
         )
 
@@ -875,12 +862,8 @@ class Campaign:
             if cfg.backend == "process"
             else futures.ThreadPoolExecutor
         )
-        indices = list(indices)
         if chunks is None:
-            chunks = [
-                indices[i : i + cfg.chunk_size]
-                for i in range(0, len(indices), cfg.chunk_size)
-            ]
+            chunks = [[k] for k in indices]
         done = 0
         with pool_cls(max_workers=cfg.resolved_workers()) as pool:
             pending = [

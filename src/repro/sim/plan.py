@@ -1,8 +1,8 @@
 """RunPlan: one object describing *how* a campaign executes.
 
-The execution options of a campaign — which engine runs the sessions,
-where trials run (:class:`~repro.sim.parallel.ExecutorConfig`), whether
-results are memoized (:class:`~repro.store.cache.ResultStore`), whether
+The execution options of a campaign — where trials run
+(:class:`~repro.sim.parallel.ExecutorConfig`), whether results are
+memoized (:class:`~repro.store.cache.ResultStore`), whether
 a killed run is being resumed, how many trials are stacked per batched
 kernel task, and which observability sinks receive output — historically
 travelled as separate keyword arguments duplicated across ``run_trials``,
@@ -26,13 +26,12 @@ consolidates them:
   document and hands it to :meth:`RunPlan.from_json`, so CLI flags and
   HTTP job submissions go through one schema.
 * :func:`add_execution_arguments` — the one shared parent-parser options
-  group (``--workers/--backend/--batch/--cache/--resume/--engine/...``)
+  group (``--workers/--backend/--batch/--cache/--resume/...``)
   every experiment subcommand mounts, so subcommands can no longer
   silently diverge in which execution flags they expose.
 
 The plan describes execution only; it never changes *what* a trial
-computes, so no RunPlan field enters the result-store content address
-(except ``engine``, which already did).
+computes, so no RunPlan field enters the result-store content address.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import argparse
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - types only (import cycle guard)
     from repro.obs.trace import TraceContext
@@ -82,9 +81,6 @@ class RunPlan:
 
     Parameters
     ----------
-    engine:
-        Session engine name resolved through
-        :func:`repro.core.engine.resolve_engine` (``"auto"`` default).
     executor:
         :class:`~repro.sim.parallel.ExecutorConfig` or ``None`` for the
         historical in-process serial loop.
@@ -119,7 +115,6 @@ class RunPlan:
         *run*, not the computation).
     """
 
-    engine: str = "auto"
     executor: "Optional[ExecutorConfig]" = None
     store: "Optional[ResultStore]" = None
     resume: bool = False
@@ -129,8 +124,6 @@ class RunPlan:
     trace: "Optional[TraceContext]" = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.engine, str) or not self.engine:
-            raise ValueError(f"engine must be a non-empty string, got {self.engine!r}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.checkpoint_namespace is not None:
@@ -159,7 +152,6 @@ class RunPlan:
             executor = {
                 "workers": self.executor.workers,
                 "backend": self.executor.backend,
-                "chunk_size": self.executor.chunk_size,
                 "timeout_s": self.executor.timeout_s,
                 "max_retries": self.executor.max_retries,
                 "fail_fast": self.executor.fail_fast,
@@ -169,7 +161,6 @@ class RunPlan:
             store = {"root": str(self.store.root)}
         return {
             "schema": PLAN_SCHEMA,
-            "engine": self.engine,
             "executor": executor,
             "store": store,
             "resume": self.resume,
@@ -218,7 +209,7 @@ class RunPlan:
                 f"(expected {PLAN_SCHEMA!r})"
             )
         known = {
-            "engine", "executor", "store", "resume", "batch",
+            "executor", "store", "resume", "batch",
             "checkpoint_namespace", "obs", "trace",
         }
         unknown = set(data) - known
@@ -237,7 +228,6 @@ class RunPlan:
             executor = ExecutorConfig(
                 workers=int(executor_doc.get("workers", 0)),
                 backend=str(executor_doc.get("backend", "process")),
-                chunk_size=int(executor_doc.get("chunk_size", 1)),
                 timeout_s=None if timeout_s is None else float(timeout_s),
                 max_retries=int(executor_doc.get("max_retries", 0)),
                 fail_fast=bool(executor_doc.get("fail_fast", False)),
@@ -265,7 +255,6 @@ class RunPlan:
             trace = TraceContext.from_dict(trace_doc)
         namespace = data.get("checkpoint_namespace")
         return cls(
-            engine=data.get("engine") or "auto",
             executor=executor,
             store=store,
             resume=resume,
@@ -315,7 +304,6 @@ class RunPlan:
         return cls.from_json(
             {
                 "schema": PLAN_SCHEMA,
-                "engine": getattr(args, "engine", None) or "auto",
                 "executor": executor,
                 "store": store,
                 "resume": resume,
@@ -331,21 +319,14 @@ class RunPlan:
 
 def add_execution_arguments(
     parser: argparse.ArgumentParser,
-    *,
-    engines: Optional[Tuple[str, ...]] = None,
 ) -> argparse._ArgumentGroup:
     """Mount the shared execution-options group on ``parser``.
 
     Every experiment subcommand gets this exact group (via a parent
     parser), and :meth:`RunPlan.from_args` understands precisely these
     destinations — add a knob here and every subcommand grows it at
-    once.  ``engines`` overrides the ``--engine`` choices (defaults to
-    ``"auto"`` plus every registered engine).
+    once.
     """
-    if engines is None:
-        from repro.core.engine import AUTO_ENGINE, available_engines
-
-        engines = (AUTO_ENGINE,) + available_engines()
     group = parser.add_argument_group("execution options")
     group.add_argument(
         "--workers",
@@ -368,12 +349,6 @@ def add_execution_arguments(
         metavar="B",
         help="trials stacked per batched-kernel task for batch-capable "
         "trials (default: 1 = per-trial dispatch)",
-    )
-    group.add_argument(
-        "--engine",
-        choices=engines,
-        default="auto",
-        help="session engine (default: auto)",
     )
     group.add_argument(
         "--progress",

@@ -11,7 +11,7 @@ Since the observability layer landed, the tracer is a thin consumer of a
 :class:`repro.obs.export.EventBus`: ``emit`` publishes on the bus and the
 tracer's own subscription records the :class:`TraceEvent` list.  Extra
 consumers (metric recorders, live NDJSON writers) can subscribe to
-``tracer.bus`` and see exactly the stream the engines produce — the
+``tracer.bus`` and see exactly the stream a session produces — the
 public API (``emit``/``events``/``of_kind``/NDJSON format) is unchanged.
 
 Events (``kind`` / payload):
@@ -130,8 +130,8 @@ class SessionTracer:
 
         Covers every round that produced *any* event — in particular the
         final silent checking frame, whose round has a ``checking`` event
-        but (in engines that skip the frame event after termination) may
-        have no ``frame`` event.
+        but (in a stream that skips the frame event after termination)
+        may have no ``frame`` event.
         """
         lines = [
             f"{'round':>6} {'tx tags':>8} {'new bits':>9} {'silenced':>9} "

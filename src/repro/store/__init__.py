@@ -2,7 +2,7 @@
 
 The persistence subsystem behind ``--cache``/``--resume``: every trial
 result is a pure function of (trial config, trial index, derived seed,
-engine id, simulator code fingerprint), so it is stored once under a
+simulator code fingerprint), so it is stored once under a
 canonical digest of exactly those fields and served from disk forever
 after.  Five modules:
 

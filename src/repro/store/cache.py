@@ -2,13 +2,12 @@
 
 The paper's evaluation grid (r ∈ {2..10} × 100 trials × 3 protocols) and
 every extension sweep on top of it recompute work that is a pure function
-of four things: the trial's configuration, its derived seed, the session
-engine, and the simulator source.  :class:`ResultStore` memoizes exactly
+of three things: the trial's configuration, its derived seed, and the
+simulator source.  :class:`ResultStore` memoizes exactly
 that function on disk:
 
 * **Key** — SHA-256 of the canonical JSON of the key fields
-  (:func:`trial_key`): trial config, trial index, seed, engine id, and
-  the :func:`~repro.store.fingerprint.code_fingerprint` of
+  (:func:`trial_key`): trial config, trial index, seed, and the :func:`~repro.store.fingerprint.code_fingerprint` of
   ``repro.core``/``repro.protocols``/``repro.net``.  Change any of them
   and the key moves — stale hits are structurally impossible.
 * **Value** — the trial's metric dict plus a RunManifest-style
@@ -130,7 +129,6 @@ def trial_key(
     trial_config: Dict[str, Any],
     trial_index: int,
     seed: int,
-    engine: Optional[str],
     code_fingerprint: str,
 ) -> str:
     """The content address of one trial result (SHA-256 hex)."""
@@ -140,7 +138,6 @@ def trial_key(
             "trial": trial_config,
             "trial_index": int(trial_index),
             "seed": int(seed),
-            "engine": engine,
             "code_fingerprint": code_fingerprint,
         }
     )
@@ -368,7 +365,6 @@ class ResultStore:
 
     @staticmethod
     def default_provenance(
-        engine: Optional[str] = None,
         elapsed_s: Optional[float] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
@@ -385,7 +381,6 @@ class ResultStore:
             "git_rev": git_revision(),
             "host": _platform.node(),
             "python_version": _platform.python_version(),
-            "engine": engine,
             "elapsed_s": elapsed_s,
         }
         if extra:

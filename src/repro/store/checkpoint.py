@@ -2,7 +2,7 @@
 
 The object store memoizes individual trials; the checkpoint journal ties
 them together into a *campaign* — one (trial config, n_trials, base
-seed, engine, code fingerprint) identity — so a killed process can
+seed, code fingerprint) identity — so a killed process can
 report what a resume will reuse, and a completed campaign records the
 digest of its aggregates for later bit-identity checks.
 
@@ -82,7 +82,6 @@ def campaign_key(
     trial_config: Dict[str, Any],
     n_trials: int,
     base_seed: int,
-    engine: Optional[str],
     code_fingerprint: str,
 ) -> str:
     """The identity of one campaign (SHA-256 hex)."""
@@ -92,7 +91,6 @@ def campaign_key(
             "trial": trial_config,
             "n_trials": int(n_trials),
             "base_seed": int(base_seed),
-            "engine": engine,
             "code_fingerprint": code_fingerprint,
         }
     )

@@ -1,13 +1,13 @@
 """The trial-major batched kernel vs the per-trial bigint reference.
 
 The executable reference for ``run_session_batch`` is the per-trial
-scalar bigint engine, which consumes the same ``repro-channel-rng-v1``
+scalar big-int oracle, which consumes the same ``repro-channel-rng-v1``
 stream: under the ``repro-batch-rng-v1`` contract every trial in a batch
 must be bit-identical to running it alone with the same generator.  The
 grid here sweeps topology x frame size x loss and compares every
 observable field (bitmap, rounds, slot accounting, round stats, energy
 floats).  Also covered: trial-order independence, tail batches through
-the campaign engine, the ``engine="packed"`` B = 1 adapter, and the
+the campaign engine, ``run_session`` as the B = 1 adapter, and the
 RNG-contract fingerprint coupling.
 """
 
@@ -22,16 +22,12 @@ from repro.core.batch import (
     batch_trial_rngs,
     run_session_batch,
 )
-from repro.core.engine import (
-    PackedSessionEngine,
-    available_engines,
-    get_engine,
-)
 from repro.core.session import CCMConfig, run_session
 from repro.net.channel import LossyChannel
 from repro.sim.parallel import Campaign, ExecutorConfig
 from repro.sim.plan import RunPlan
 from repro.sim.runner import trial_seed
+from tests.oracle import run_oracle
 
 FRAME_SIZES = (37, 64, 257)
 LOSSES = (0.0, 0.2, 0.5)
@@ -49,18 +45,18 @@ def draw_masks(rng, n, f, participation=0.8):
 
 
 def run_reference(network, f, loss, seed):
-    """One trial through the per-trial bigint engine (the contract's
+    """One trial through the per-trial big-int oracle (the contract's
     reference path), drawing masks and channel losses from one
     generator exactly as the batched path must."""
     rng = np.random.default_rng(seed)
     masks = draw_masks(rng, network.n_tags, f)
     config = CCMConfig(frame_size=f)
     if loss > 0.0:
-        return run_session(
+        return run_oracle(
             network, masks=masks, config=config,
-            channel=LossyChannel(loss=loss), rng=rng, engine="bigint",
+            channel=LossyChannel(loss=loss), rng=rng,
         )
-    return run_session(network, masks=masks, config=config, engine="bigint")
+    return run_oracle(network, masks=masks, config=config)
 
 
 def run_batched(network, f, loss, seeds):
@@ -149,30 +145,25 @@ class TestTrialOrderIndependence:
 
 
 class TestBatchEngineAdapter:
-    """``engine="packed"`` is the batch kernel at B = 1."""
-
-    def test_registered(self):
-        assert "packed" in available_engines()
-        assert "batch" not in available_engines()
-        assert isinstance(get_engine("packed"), PackedSessionEngine)
+    """``run_session`` is the batch kernel at B = 1."""
 
     @pytest.mark.parametrize("loss", (0.0, 0.2))
     def test_engine_batch_equals_packed(self, small_network, loss):
-        """The B = 1 adapter (``engine="packed"``) equals the bigint
-        reference on the same masks and generator."""
+        """The B = 1 adapter (``run_session``) equals the big-int
+        oracle on the same masks and generator."""
         rng_a = np.random.default_rng(11)
         masks = draw_masks(rng_a, small_network.n_tags, 64)
         rng_b = np.random.default_rng(11)
         draw_masks(rng_b, small_network.n_tags, 64)  # same rng position
         config = CCMConfig(frame_size=64)
         channel = LossyChannel(loss=loss) if loss > 0.0 else None
-        ref = run_session(
+        ref = run_oracle(
             small_network, masks=masks, config=config, channel=channel,
-            rng=rng_a if loss > 0.0 else None, engine="bigint",
+            rng=rng_a if loss > 0.0 else None,
         )
         out = run_session(
             small_network, masks=masks, config=config, channel=channel,
-            rng=rng_b if loss > 0.0 else None, engine="packed",
+            rng=rng_b if loss > 0.0 else None,
         )
         assert_sessions_identical(ref, out)
 
@@ -268,8 +259,6 @@ class TestCampaignBatchDispatch:
     def test_failing_run_batch_falls_back_per_trial(self):
         class BrokenBatch:
             """run_batch always explodes; per-trial path must rescue."""
-
-            engine = "packed"
 
             def __call__(self, trial_index, seed):
                 return {"v": float(seed % 101)}

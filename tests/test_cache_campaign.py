@@ -165,23 +165,6 @@ class TestInvalidation:
         other = Campaign(FlakyTrial(), 3, 2, plan=RunPlan(store=store)).run()
         assert other.cache_hits == 0
 
-    def test_changed_engine_misses(self, tmp_path):
-        store = ResultStore(tmp_path)
-        config = {"type": "probe.EngineProbe", "params": {}}
-
-        def campaign(engine_id):
-            def fn(k, seed):
-                return {"v": float(seed % 97)}
-
-            fn.engine = engine_id
-            return Campaign(
-                fn, 3, 7, plan=RunPlan(store=store), trial_config=config
-            ).run()
-
-        assert campaign("reference").cache_hits == 0
-        assert campaign("reference").cache_hits == 3
-        assert campaign("packed").cache_hits == 0
-
     def test_changed_code_fingerprint_misses(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
         Campaign(FlakyTrial(), 3, 1, plan=RunPlan(store=store)).run()
@@ -239,7 +222,7 @@ class TestCrashResume:
         store = ResultStore(tmp_path)
         result = Campaign(FlakyTrial(), 4, 9, plan=RunPlan(store=store)).run()
         key = campaign_key(
-            trial_config_of(FlakyTrial()), 4, 9, None, code_fingerprint()
+            trial_config_of(FlakyTrial()), 4, 9, code_fingerprint()
         )
         state = CampaignCheckpoint(store.root, key).load()
         assert state.n_done == 4

@@ -37,19 +37,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig3", "--scale", "huge"])
 
-    def test_engine_choices_unique_in_every_subcommand(self):
+    def test_no_subcommand_accepts_engine(self):
         def walk(parser, path):
+            yield path, parser
             for action in parser._actions:
                 if isinstance(action, argparse._SubParsersAction):
                     for name, sub in action.choices.items():
                         yield from walk(sub, path + (name,))
-                elif "--engine" in action.option_strings:
-                    yield path, list(action.choices)
 
         found = dict(walk(build_parser(), ()))
         assert ("tables",) in found and ("profile",) in found
-        for path, choices in found.items():
-            assert len(choices) == len(set(choices)), (path, choices)
+        assert ("scenario", "sweep") in found
+        for path, parser in found.items():
+            options = {
+                opt for action in parser._actions
+                for opt in action.option_strings
+            }
+            assert "--engine" not in options, path
 
 
 class TestExecution:
@@ -190,17 +194,25 @@ class TestProfileCommand:
         manifest = RunManifest.from_json(manifest_path.read_text())
         assert manifest.config["loss"] == 0.2
 
-    def test_profile_engine_choices(self, tmp_path, capsys):
-        for engine in ("bigint", "packed"):
-            code = main([
-                "profile", "--n", "200", "--frame", "32", "--engine", engine,
-                "--sort", "tree",
-                "--metrics-out", str(tmp_path / f"{engine}.ndjson"),
-                "--manifest-out", str(tmp_path / f"{engine}.json"),
-            ])
-            assert code == 0
+    def test_profile_batched_campaign(self, tmp_path, capsys):
+        """``--trials N --batch B`` profiles the batched campaign path."""
+        import json
+
+        metrics_path = tmp_path / "campaign.ndjson"
+        code = main([
+            "profile", "--n", "200", "--frame", "32", "--trials", "4",
+            "--batch", "2", "--sort", "tree",
+            "--metrics-out", str(metrics_path),
+            "--manifest-out", str(tmp_path / "campaign.json"),
+        ])
+        assert code == 0
         out = capsys.readouterr().out
-        assert out.count("coverage:") == 2
+        assert "batch=2" in out and "4/4 trials ok" in out
+        spans = [
+            rec["path"] for rec in map(json.loads, metrics_path.open())
+            if rec["type"] == "span"
+        ]
+        assert any("session_batch" in path for path in spans), spans
 
 
 class TestScenarioCommand:

@@ -1,9 +1,9 @@
-"""Tests for repro.core.engine — the interchangeable session engines.
+"""Tests for repro.core.engine — the big-int oracle — and session routing.
 
-The contract under test is the strongest one the redesign makes: for any
-network, initial masks and config, the packed engine (the batch kernel
-at B = 1) must produce a *bit-identical*
-:class:`~repro.core.session.SessionResult` to the big-int engine — same
+The contract under test is the strongest one the design makes: for any
+network, initial masks and config, ``run_session`` (the batch kernel at
+B = 1) must produce a *bit-identical*
+:class:`~repro.core.session.SessionResult` to the big-int oracle — same
 bitmap, rounds, slots, round-by-round stats and per-tag energy ledger,
 down to float equality (every ledger add is an integer-valued float64,
 exact in any association).
@@ -16,18 +16,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.engine import (
-    AUTO_ENGINE,
-    BigintSessionEngine,
-    PackedSessionEngine,
-    SessionEngine,
-    available_engines,
-    get_engine,
-    masks_to_words,
-    register_engine,
-    resolve_engine,
-    words_to_int,
-)
+import repro.core.batch as batch_mod
+import repro.core.engine as engine_mod
+from repro.core.engine import masks_to_words, words_to_int
 from repro.core.session import (
     CCMConfig,
     default_checking_frame_length,
@@ -42,6 +33,7 @@ from repro.net.channel import (
 from repro.net.geometry import Point, clustered_disk, uniform_annulus, uniform_disk
 from repro.net.topology import Network, Reader
 from repro.sim.rng import TagHasher
+from tests.oracle import run_oracle
 
 
 def _build_network(deployment: str, n_tags: int, seed: int) -> Network:
@@ -145,53 +137,84 @@ class TestPackedPrimitives:
 
 
 class TestEngineRegistry:
+    """``run_session`` picks its implementation from the channel alone:
+    the exact built-in types run on the batch kernel, anything else on
+    the big-int oracle.  (The named-engine registry is gone.)"""
+
+    @staticmethod
+    def _spy_routes(monkeypatch):
+        calls = []
+        kernel, oracle = batch_mod._run_single, engine_mod.run_bigint_session
+
+        def spy_kernel(*args, **kwargs):
+            calls.append("kernel")
+            return kernel(*args, **kwargs)
+
+        def spy_oracle(*args, **kwargs):
+            calls.append("oracle")
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "_run_single", spy_kernel)
+        monkeypatch.setattr(engine_mod, "run_bigint_session", spy_oracle)
+        return calls
+
     def test_available_engines(self):
-        assert {"bigint", "packed"} <= set(available_engines())
-        # one fast kernel: no separate single-session "batch" engine
-        assert "batch" not in available_engines()
+        """The registry API and the ``engine=`` knob are removed."""
+        import repro
+        import repro.core
+        import repro.scenario
 
-    def test_get_engine_instances(self):
-        assert isinstance(get_engine("bigint"), BigintSessionEngine)
-        assert isinstance(get_engine("packed"), PackedSessionEngine)
-        assert isinstance(get_engine("packed"), SessionEngine)
+        gone = (
+            "AUTO_ENGINE", "SessionEngine", "BigintSessionEngine",
+            "PackedSessionEngine", "available_engines", "get_engine",
+            "register_engine", "resolve_engine",
+        )
+        for module in (engine_mod, repro.core, repro, repro.scenario):
+            for name in gone:
+                assert not hasattr(module, name), (module.__name__, name)
+        assert "run_bigint_session" in repro.core.__all__
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown session engine"):
-            get_engine("quantum")
+    def test_unknown_engine(self, star_network):
+        """Every engine name is unknown now: ``engine=`` is not a
+        keyword of ``run_session``."""
+        with pytest.raises(TypeError, match="engine"):
+            run_session(
+                star_network, [0, 1, 2, 3, 4],
+                config=CCMConfig(frame_size=8), engine="bigint",
+            )
 
-    def test_auto_resolution(self):
-        assert resolve_engine(AUTO_ENGINE, None).name == "packed"
-        assert resolve_engine("auto", PerfectChannel()).name == "packed"
+    def test_auto_resolution(self, star_network, monkeypatch):
+        calls = self._spy_routes(monkeypatch)
+        config = CCMConfig(frame_size=8)
+        picks = [0, 1, 2, 3, 4]
+        rng = np.random.default_rng(0)
+        for channel in (
+            None, PerfectChannel(), LossyChannel(0.1), LossyChannel(0.0)
+        ):
+            run_session(
+                star_network, picks, config=config, channel=channel, rng=rng
+            )
         # Lossy channels consume the repro-channel-rng-v1 stream
-        # identically on both engines, so auto routes them to packed too.
-        assert resolve_engine("auto", LossyChannel(0.1)).name == "packed"
-        assert resolve_engine("auto", LossyChannel(0.0)).name == "packed"
+        # identically on both paths, so they run on the kernel too.
+        assert calls == ["kernel"] * 4
 
-    def test_auto_is_conservative_for_subclasses(self):
+    def test_auto_is_conservative_for_subclasses(
+        self, star_network, monkeypatch
+    ):
         class TracingChannel(PerfectChannel):
             pass
 
         class TracingLossy(LossyChannel):
             pass
 
-        assert resolve_engine("auto", TracingChannel()).name == "bigint"
-        assert resolve_engine("auto", TracingLossy(0.2)).name == "bigint"
-
-    def test_register_custom_engine(self):
-        class NullEngine:
-            name = "null"
-
-            def run(self, network, masks, config, **kwargs):
-                raise NotImplementedError
-
-        register_engine("null-test", NullEngine)
-        try:
-            assert "null-test" in available_engines()
-            assert get_engine("null-test").name == "null"
-        finally:
-            from repro.core.engine import _REGISTRY
-
-            _REGISTRY.pop("null-test", None)
+        calls = self._spy_routes(monkeypatch)
+        config = CCMConfig(frame_size=8)
+        for channel in (TracingChannel(), TracingLossy(0.2)):
+            run_session(
+                star_network, [0, 1, 2, 3, 4], config=config,
+                channel=channel, rng=np.random.default_rng(0),
+            )
+        assert calls == ["oracle", "oracle"]
 
     def test_packed_refuses_bigint_only_channel(self, star_network):
         class BigintOnly(Channel):
@@ -205,27 +228,53 @@ class TestEngineRegistry:
 
         config = CCMConfig(frame_size=8)
         with pytest.raises(ValueError, match="packed"):
-            run_session(
-                star_network,
-                [0, 1, 2, 3, 4],
-                config=config,
-                channel=BigintOnly(),
-                engine="packed",
+            batch_mod.run_session_batch(
+                star_network, [[1, 2, 4, 8, 16]], config, channel=BigintOnly()
             )
-        # The same channel runs fine on the bigint engine — and auto picks it.
-        for engine in ("bigint", "auto"):
-            result = run_session(
-                star_network,
-                [0, 1, 2, 3, 4],
-                config=config,
-                channel=BigintOnly(),
-                engine=engine,
-            )
-            assert result.bitmap.popcount() == 5
+        # run_session routes the same channel to the oracle.
+        result = run_session(
+            star_network, [0, 1, 2, 3, 4], config=config, channel=BigintOnly()
+        )
+        assert result.bitmap.popcount() == 5
+
+    def test_wrapped_lossy_instance_stays_on_tag_major(
+        self, small_network, monkeypatch
+    ):
+        """Wrapping a LossyChannel's methods on the instance (as a
+        profiler does) keeps its exact type, so the session still enters
+        the kernel's tag-major path and calls the wrapper."""
+        channel = LossyChannel(0.2)
+        seen = []
+        propagate = channel.propagate_packed
+
+        def wrapped(*args, **kwargs):
+            seen.append("propagate")
+            return propagate(*args, **kwargs)
+
+        channel.propagate_packed = wrapped
+        tag_major = batch_mod._batch_tag_major
+
+        def spy(*args, **kwargs):
+            seen.append("tag_major")
+            return tag_major(*args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "_batch_tag_major", spy)
+        masks = _masks_for(small_network, 64, seed=2, multibit=False)
+        config = CCMConfig(frame_size=64)
+        out = run_session(
+            small_network, masks=masks, config=config, channel=channel,
+            rng=np.random.default_rng(5),
+        )
+        assert seen[0] == "tag_major" and "propagate" in seen
+        ref = run_oracle(
+            small_network, masks=masks, config=config,
+            channel=LossyChannel(0.2), rng=np.random.default_rng(5),
+        )
+        _assert_results_identical(ref, out)
 
 
 class TestCrossEngineEquivalence:
-    """packed ≡ bigint, bit for bit, across the deployment/frame grid."""
+    """kernel ≡ oracle, bit for bit, across the deployment/frame grid."""
 
     @pytest.mark.parametrize("deployment", ["disk", "annulus", "clustered"])
     @pytest.mark.parametrize(
@@ -240,16 +289,10 @@ class TestCrossEngineEquivalence:
         masks = _masks_for(network, frame_size, seed=11, multibit=multibit)
         config = CCMConfig(frame_size=frame_size)
         tracer_a, tracer_b = SessionTracer(), SessionTracer()
-        a = run_session(
-            network, masks=masks, config=config, engine="bigint",
-            tracer=tracer_a,
-        )
-        b = run_session(
-            network, masks=masks, config=config, engine="packed",
-            tracer=tracer_b,
-        )
+        a = run_oracle(network, masks=masks, config=config, tracer=tracer_a)
+        b = run_session(network, masks=masks, config=config, tracer=tracer_b)
         _assert_results_identical(a, b)
-        # The engines' protocol event streams are byte-identical NDJSON.
+        # The two protocol event streams are byte-identical NDJSON.
         ndjson_a = tracer_a.to_ndjson()
         assert ndjson_a.encode() == tracer_b.to_ndjson().encode()
         assert ndjson_a  # both actually traced something
@@ -258,15 +301,15 @@ class TestCrossEngineEquivalence:
         network = _build_network("disk", n_tags=250, seed=5)
         masks = _masks_for(network, 96, seed=3, multibit=True)
         config = CCMConfig(frame_size=96, use_indicator_vector=False)
-        a = run_session(network, masks=masks, config=config, engine="bigint")
-        b = run_session(network, masks=masks, config=config, engine="packed")
+        a = run_oracle(network, masks=masks, config=config)
+        b = run_session(network, masks=masks, config=config)
         _assert_results_identical(a, b)
 
     def test_max_rounds_truncation(self, line_network):
         config = CCMConfig(frame_size=8, max_rounds=2)
         picks = [0, 1, 2, 3, 4]
-        a = run_session(line_network, picks, config=config, engine="bigint")
-        b = run_session(line_network, picks, config=config, engine="packed")
+        a = run_oracle(line_network, picks, config=config)
+        b = run_session(line_network, picks, config=config)
         assert not a.terminated_cleanly
         _assert_results_identical(a, b)
 
@@ -275,22 +318,16 @@ class TestCrossEngineEquivalence:
 
         config = CCMConfig(frame_size=8)
         events = {}
-        for engine in ("bigint", "packed"):
+        for name, run in (("oracle", run_oracle), ("kernel", run_session)):
             tracer = SessionTracer()
-            run_session(
-                star_network,
-                [0, 1, 2, 3, 4],
-                config=config,
-                tracer=tracer,
-                engine=engine,
-            )
-            events[engine] = tracer.events
-        assert events["bigint"] == events["packed"]
+            run(star_network, [0, 1, 2, 3, 4], config=config, tracer=tracer)
+            events[name] = tracer.events
+        assert events["oracle"] == events["kernel"]
 
     def test_empty_participation(self, star_network):
         config = CCMConfig(frame_size=8)
-        a = run_session(star_network, [-1] * 5, config=config, engine="bigint")
-        b = run_session(star_network, [-1] * 5, config=config, engine="packed")
+        a = run_oracle(star_network, [-1] * 5, config=config)
+        b = run_session(star_network, [-1] * 5, config=config)
         _assert_results_identical(a, b)
         assert a.bitmap.popcount() == 0
 
@@ -307,7 +344,6 @@ class TestCrossEngineEquivalence:
             config=config,
             channel=LossyChannel(0.3),
             rng=np.random.default_rng(17),
-            engine="packed",
         )
         assert lossy.bitmap.difference(truth.bitmap).popcount() == 0
         lossless = run_session(
@@ -316,15 +352,14 @@ class TestCrossEngineEquivalence:
             config=config,
             channel=LossyChannel(0.0),
             rng=np.random.default_rng(17),
-            engine="packed",
         )
         assert lossless.bitmap.bits == truth.bitmap.bits
 
 
 class TestLossyCrossEngineEquivalence:
-    """packed ≡ bigint under LossyChannel: the repro-channel-rng-v1
+    """kernel ≡ oracle under LossyChannel: the repro-channel-rng-v1
     contract pins the Bernoulli draw order, so for the same seed the two
-    engines produce bit-identical sessions — masks, metrics, ledger
+    produce bit-identical sessions — masks, metrics, ledger
     floats, and tracer NDJSON."""
 
     @pytest.mark.parametrize("loss", [0.2, 0.5, 0.8])
@@ -339,13 +374,13 @@ class TestLossyCrossEngineEquivalence:
         masks = _masks_for(network, frame_size, seed=11, multibit=multibit)
         config = CCMConfig(frame_size=frame_size)
         tracer_a, tracer_b = SessionTracer(), SessionTracer()
-        a = run_session(
-            network, masks=masks, config=config, engine="bigint",
+        a = run_oracle(
+            network, masks=masks, config=config,
             channel=LossyChannel(loss), rng=np.random.default_rng(4242),
             tracer=tracer_a,
         )
         b = run_session(
-            network, masks=masks, config=config, engine="packed",
+            network, masks=masks, config=config,
             channel=LossyChannel(loss), rng=np.random.default_rng(4242),
             tracer=tracer_b,
         )
@@ -358,12 +393,12 @@ class TestLossyCrossEngineEquivalence:
         network = _build_network("annulus", n_tags=250, seed=202)
         masks = _masks_for(network, 96, seed=3, multibit=True)
         config = CCMConfig(frame_size=96, use_indicator_vector=False)
-        a = run_session(
-            network, masks=masks, config=config, engine="bigint",
+        a = run_oracle(
+            network, masks=masks, config=config,
             channel=LossyChannel(0.4), rng=np.random.default_rng(8),
         )
         b = run_session(
-            network, masks=masks, config=config, engine="packed",
+            network, masks=masks, config=config,
             channel=LossyChannel(0.4), rng=np.random.default_rng(8),
         )
         _assert_results_identical(a, b)
@@ -376,17 +411,17 @@ class TestLossyCrossEngineEquivalence:
             network, masks=masks, config=config,
             channel=LossyChannel(0.3), rng=np.random.default_rng(17),
         )
-        explicit = run_session(
-            network, masks=masks, config=config, engine="bigint",
+        explicit = run_oracle(
+            network, masks=masks, config=config,
             channel=LossyChannel(0.3), rng=np.random.default_rng(17),
         )
         _assert_results_identical(auto, explicit)
 
     def test_zero_loss_routes_to_slot_major_without_rng(self):
-        """LossyChannel(0.0) consumes no draws, so auto must reach the
-        silent slot-major fast path — which never touches an rng.  The
-        bigint/tag-major lossy paths raise without one, so succeeding
-        here proves the dispatch."""
+        """LossyChannel(0.0) consumes no draws, so run_session must reach
+        the silent slot-major fast path — which never touches an rng.
+        The oracle and tag-major lossy paths raise without one, so
+        succeeding here proves the dispatch."""
         network = _build_network("disk", n_tags=200, seed=9)
         masks = _masks_for(network, 64, seed=2, multibit=False)
         config = CCMConfig(frame_size=64)
@@ -427,14 +462,7 @@ class TestUnifiedAPI:
     def test_top_level_exports(self):
         import repro
 
-        for name in (
-            "SessionEngine",
-            "SessionTracer",
-            "RoundStats",
-            "available_engines",
-            "get_engine",
-            "register_engine",
-        ):
+        for name in ("SessionTracer", "RoundStats", "run_session"):
             assert name in repro.__all__
             assert hasattr(repro, name)
         assert not hasattr(repro, "picks_to_masks")

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.core.session import CCMConfig, run_session
+from repro.net.channel import PerfectChannel
 from repro.obs import (
     EventBus,
     MetricsRegistry,
@@ -255,6 +256,14 @@ class TestRunManifest:
         assert manifest.git_rev is None or len(manifest.git_rev) == 40
 
 
+class _OracleChannel(PerfectChannel):
+    """Not an exact built-in type, so ``run_session`` runs the oracle."""
+
+
+#: the channel that sends run_session down each path
+ROUTES = {"bigint": _OracleChannel, "packed": PerfectChannel}
+
+
 class TestInstrumentedSession:
     @pytest.mark.parametrize("engine", ["bigint", "packed"])
     def test_session_records_phases_and_counters(self, small_network, engine):
@@ -262,7 +271,7 @@ class TestInstrumentedSession:
         with use_registry() as reg:
             result = run_session(
                 small_network, picks, config=CCMConfig(frame_size=64),
-                engine=engine,
+                channel=ROUTES[engine](),
             )
         counters = reg.snapshot()["counters"]
         assert counters["ccm_sessions_total"] == 1.0
@@ -270,7 +279,7 @@ class TestInstrumentedSession:
         assert counters["ccm_session_slots_total"] == float(result.total_slots)
         stats = reg.span_stats()
         assert stats[("session",)][0] == 1
-        # packed runs the batch kernel, whose rounds nest under its span
+        # the batch kernel's rounds nest under its span
         kernel = {"bigint": (), "packed": ("session_batch",)}[engine]
         round_path = ("session", *kernel, "round")
         assert stats[round_path][0] == result.rounds
@@ -285,7 +294,7 @@ class TestInstrumentedSession:
             with use_registry() as reg:
                 run_session(
                     small_network, picks, config=CCMConfig(frame_size=64),
-                    engine=engine,
+                    channel=ROUTES[engine](),
                 )
             counters = reg.snapshot()["counters"]
             values[engine] = {

@@ -97,8 +97,6 @@ class TestExecutorConfig:
         with pytest.raises(ValueError):
             ExecutorConfig(workers=-1)
         with pytest.raises(ValueError):
-            ExecutorConfig(chunk_size=0)
-        with pytest.raises(ValueError):
             ExecutorConfig(timeout_s=0.0)
         with pytest.raises(ValueError):
             ExecutorConfig(max_retries=-1)
@@ -137,12 +135,13 @@ class TestDeterminism:
         assert_aggregates_identical(inline, engine)
 
     def test_chunking_does_not_change_results(self):
+        """The pool submits one trial per task; results match serial."""
         serial = run_trials(noisy_trial, self.N, self.SEED)
-        chunked = run_trials(
+        pooled = run_trials(
             noisy_trial, self.N, self.SEED,
-            plan=RunPlan(executor=ExecutorConfig(workers=2, backend="thread", chunk_size=7)),
+            plan=RunPlan(executor=ExecutorConfig(workers=2, backend="thread")),
         )
-        assert_aggregates_identical(serial, chunked)
+        assert_aggregates_identical(serial, pooled)
 
     def test_campaign_object_matches_run_trials(self):
         serial = run_trials(noisy_trial, self.N, self.SEED)

@@ -38,7 +38,6 @@ def assert_same_aggregates(a, b):
 class TestRunPlanObject:
     def test_defaults(self):
         plan = RunPlan()
-        assert plan.engine == "auto"
         assert plan.executor is None
         assert plan.store is None
         assert plan.resume is False
@@ -47,7 +46,7 @@ class TestRunPlanObject:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            RunPlan().engine = "packed"
+            RunPlan().batch = 8
 
     def test_batch_validated(self):
         with pytest.raises(ValueError, match="batch"):
@@ -56,16 +55,19 @@ class TestRunPlanObject:
             RunPlan(batch=-3)
 
     def test_engine_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            RunPlan(engine="")
-        with pytest.raises(ValueError, match="engine"):
-            RunPlan(engine=None)
+        """The engine selector is gone: not a field, and an ``engine``
+        key in a plan document is an unknown field."""
+        with pytest.raises(TypeError, match="engine"):
+            RunPlan(engine="auto")
+        with pytest.raises(ValueError, match="unknown run-plan field.*engine"):
+            RunPlan.from_json({"schema": PLAN_SCHEMA, "engine": "auto"})
+        assert "engine" not in RunPlan().to_json()
 
     def test_replace(self):
-        plan = RunPlan().replace(engine="batch", batch=8)
-        assert plan.engine == "batch"
+        plan = RunPlan().replace(resume=True, batch=8)
+        assert plan.resume is True
         assert plan.batch == 8
-        assert RunPlan().engine == "auto"  # original untouched
+        assert RunPlan().batch == 1  # original untouched
 
     def test_exported_from_sim(self):
         for name in ("RunPlan", "ObsPlan", "add_execution_arguments"):
@@ -96,11 +98,10 @@ class TestFromArgs:
         assert plan.executor is None
 
     def test_batch_and_engine(self):
-        plan = RunPlan.from_args(
-            self._parse(["--batch", "25", "--engine", "packed"])
-        )
+        plan = RunPlan.from_args(self._parse(["--batch", "25"]))
         assert plan.batch == 25
-        assert plan.engine == "packed"
+        with pytest.raises(SystemExit):  # --engine is not an option
+            self._parse(["--engine", "packed"])
 
     def test_cache_dir_implies_cache(self, tmp_path):
         plan = RunPlan.from_args(self._parse(["--cache-dir", str(tmp_path)]))
@@ -146,7 +147,7 @@ class TestFromArgs:
         ):
             args = parser.parse_args([cmd])
             for dest in (
-                "workers", "backend", "batch", "engine", "progress",
+                "workers", "backend", "batch", "progress",
                 "cache", "no_cache", "cache_dir", "resume",
             ):
                 assert hasattr(args, dest), f"{cmd} lacks --{dest}"
@@ -165,12 +166,12 @@ class TestWireSchema:
     def test_document_is_canonical_json_able(self):
         from repro.store.canonical import canonical_json
 
-        text = canonical_json(RunPlan(batch=4, engine="packed").to_json())
-        assert RunPlan.from_json(text) == RunPlan(batch=4, engine="packed")
+        text = canonical_json(RunPlan(batch=4).to_json())
+        assert RunPlan.from_json(text) == RunPlan(batch=4)
 
     def test_executor_round_trips(self):
         cfg = ExecutorConfig(
-            workers=3, backend="thread", chunk_size=2,
+            workers=3, backend="thread",
             timeout_s=1.5, max_retries=2, fail_fast=True,
         )
         plan = RunPlan.from_json(RunPlan(executor=cfg).to_json())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.batch as batch_mod
+from repro.core.engine import run_bigint_session
 from repro.core.reference import run_session_reference
 from repro.core.session import CCMConfig, _picks_to_masks, run_session
 from repro.net.channel import LossyChannel
@@ -154,11 +155,12 @@ class TestRandomTopologies:
             max_rounds=max_rounds,
         )
         with mock.patch.object(batch_mod, "SLOT_MAJOR_MAX_ADJ_BYTES", adj_bytes):
-            fast = run_session(net, picks, config=config, engine="packed")
+            fast = run_session(net, picks, config=config)
         assert_identical(fast, run_session_reference(net, picks, config))
 
     # The scenario engine with the default (static) config is the same
-    # session on the batch kernel: equal to bigint on both channels.
+    # session on the batch kernel: equal to the big-int oracle on both
+    # channels.
     @pytest.mark.parametrize("loss", [0.0, 0.2])
     @given(
         n=st.integers(min_value=10, max_value=60),
@@ -180,14 +182,15 @@ class TestRandomTopologies:
             max_rounds=max_rounds,
         )
 
-        def one(engine):
-            return run_session(
-                net, picks, config=config,
+        masks = _picks_to_masks(picks, frame)
+        ours, theirs = (
+            run(
+                net, masks, config,
                 channel=LossyChannel(loss, frame_size_hint=frame),
-                rng=np.random.default_rng(seed), engine=engine,
+                rng=np.random.default_rng(seed),
             )
-
-        ours, theirs = one("scenario"), one("bigint")
+            for run in (ScenarioSessionEngine().run, run_bigint_session)
+        )
         assert_identical(ours, theirs)
         assert ours.ledger.bits_sent.tobytes() == theirs.ledger.bits_sent.tobytes()
         assert (

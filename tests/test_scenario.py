@@ -29,6 +29,7 @@ from repro.scenario import (
 )
 from repro.sim.rng import TagHasher
 from repro.store.canonical import canonical_json
+from tests.oracle import run_oracle
 
 
 def small_network(n=400, r=6.0, seed=11):
@@ -238,7 +239,7 @@ class TestPowerMask:
         ):
             static = ScenarioSessionEngine().run(net, masks, config)
         assert static.bitmap == run_session(
-            net, picks_for(net, f), config=config, engine="packed"
+            net, picks_for(net, f), config=config
         ).bitmap
 
         dynamic = ScenarioSessionEngine(
@@ -276,7 +277,8 @@ class TestWithReaders:
 
 
 class TestStaticEquivalencePin:
-    """The acceptance pin: hooks off ⇒ bit-identical to the plain engines."""
+    """The acceptance pin: hooks off ⇒ bit-identical to ``run_session``
+    (the batch kernel) and to the big-int oracle."""
 
     @pytest.mark.parametrize("baseline", ["bigint", "packed"])
     @pytest.mark.parametrize("loss", [0.0, 0.2])
@@ -286,22 +288,27 @@ class TestStaticEquivalencePin:
         picks = picks_for(net, f)
         config = CCMConfig(frame_size=f)
 
-        def one(engine):
+        def one(run):
             channel = (
                 LossyChannel(loss, frame_size_hint=f)
                 if loss > 0.0
                 else PerfectChannel()
             )
-            return run_session(
+            return run(
                 net,
                 picks,
                 config=config,
                 channel=channel,
                 rng=np.random.default_rng(77),
-                engine=engine,
             )
 
-        ours, theirs = one("scenario"), one(baseline)
+        def scenario(net, picks, *, config, **kwargs):
+            return ScenarioSessionEngine().run(
+                net, _picks_to_masks(picks, f), config, **kwargs
+            )
+
+        baselines = {"bigint": run_oracle, "packed": run_session}
+        ours, theirs = one(scenario), one(baselines[baseline])
         assert ours.bitmap == theirs.bitmap
         assert ours.rounds == theirs.rounds
         assert ours.slots.total_slots == theirs.slots.total_slots
@@ -330,19 +337,13 @@ class TestStaticEquivalencePin:
             )
         )
         ours = engine.run(net, _picks_to_masks(picks, f), config)
-        theirs = run_session(net, picks, config=config, engine="packed")
+        theirs = run_session(net, picks, config=config)
         assert ours.bitmap == theirs.bitmap
         assert ours.rounds == theirs.rounds
         assert (
             ours.ledger.bits_received.tobytes()
             == theirs.ledger.bits_received.tobytes()
         )
-
-    def test_registered_in_engine_registry(self):
-        from repro.core.engine import available_engines, get_engine
-
-        assert "scenario" in available_engines()
-        assert isinstance(get_engine("scenario"), ScenarioSessionEngine)
 
     def test_rejects_unpacked_channel(self):
         class NoPacked:
@@ -489,9 +490,7 @@ class TestRunScenarioDeterminism:
                 net.tag_ids.tolist(), f, 1.0,
                 derive_seed(seed, _PICKS_STREAM, k),
             )
-            plain = run_session(
-                net, picks, config=CCMConfig(frame_size=f), engine="packed"
-            )
+            plain = run_session(net, picks, config=CCMConfig(frame_size=f))
             assert session.bitmap == plain.bitmap
             assert session.rounds == plain.rounds
             assert session.round_stats == plain.round_stats

@@ -408,6 +408,15 @@ class TestService:
             service.client.submit({"schema": JOB_SCHEMA, "kind": "mystery"})
         assert err.value.status == 400
 
+    def test_plan_with_engine_gives_400(self, service):
+        """The engine selector is gone from the plan schema."""
+        doc = tiny_spec()
+        doc["plan"] = {"schema": PLAN_SCHEMA, "engine": "auto"}
+        with pytest.raises(ServiceError) as err:
+            service.client.submit(doc)
+        assert err.value.status == 400
+        assert "engine" in str(err.value)
+
     def test_unknown_job_gives_404(self, service):
         with pytest.raises(ServiceError) as err:
             service.client.job("doesnotexist")

@@ -66,7 +66,6 @@ class TestCanonicalJson:
             "tag_range": 4.0,
             "n_tags": 100,
             "protocols": ["sicp", "gmle_ccm", "trp_ccm"],
-            "engine": "auto",
         }
 
     def test_path_serializes_as_string(self):
@@ -176,10 +175,10 @@ class DescribedTrial:
 
 class TestTrialKeys:
     def test_paper_trial_is_describable(self):
-        config = trial_config_of(PaperTrial(6.0, 500, engine="packed"))
+        config = trial_config_of(PaperTrial(6.0, 500))
         assert config["type"] == "repro.experiments.common.PaperTrial"
         assert config["params"]["tag_range"] == 6.0
-        assert config["params"]["engine"] == "packed"
+        assert config["params"]["n_tags"] == 500
 
     def test_cache_config_hook_wins(self):
         config = trial_config_of(DescribedTrial(2.0))
@@ -196,14 +195,13 @@ class TestTrialKeys:
 
     def test_every_key_component_moves_the_key(self):
         config = trial_config_of(PaperTrial(6.0, 500))
-        base = trial_key(config, 0, 123, "auto", "f" * 16)
+        base = trial_key(config, 0, 123, "f" * 16)
         other_config = trial_config_of(PaperTrial(8.0, 500))
-        assert trial_key(other_config, 0, 123, "auto", "f" * 16) != base
-        assert trial_key(config, 1, 123, "auto", "f" * 16) != base
-        assert trial_key(config, 0, 124, "auto", "f" * 16) != base
-        assert trial_key(config, 0, 123, "packed", "f" * 16) != base
-        assert trial_key(config, 0, 123, "auto", "e" * 16) != base
-        assert trial_key(config, 0, 123, "auto", "f" * 16) == base
+        assert trial_key(other_config, 0, 123, "f" * 16) != base
+        assert trial_key(config, 1, 123, "f" * 16) != base
+        assert trial_key(config, 0, 124, "f" * 16) != base
+        assert trial_key(config, 0, 123, "e" * 16) != base
+        assert trial_key(config, 0, 123, "f" * 16) == base
 
 
 # -- the store ----------------------------------------------------------------
@@ -212,13 +210,12 @@ class TestTrialKeys:
 def _put_one(store, seed=11, metrics=None, trial=None, index=0):
     trial = trial or PaperTrial(4.0, 60)
     config = trial_config_of(trial)
-    key = trial_key(config, index, seed, "auto", code_fingerprint())
+    key = trial_key(config, index, seed, code_fingerprint())
     fields = {
         "schema": "repro-trial-key-v1",
         "trial": config,
         "trial_index": index,
         "seed": seed,
-        "engine": "auto",
         "code_fingerprint": code_fingerprint(),
     }
     store.put(
@@ -382,7 +379,7 @@ class TestVerify:
     def test_verify_reports_unreconstructable_trials(self, tmp_path):
         store = ResultStore(tmp_path)
         config = {"type": "no.such.module.Trial", "params": {}}
-        key = trial_key(config, 0, 1, None, "0" * 16)
+        key = trial_key(config, 0, 1, "0" * 16)
         store.put(
             key,
             {
@@ -390,7 +387,6 @@ class TestVerify:
                 "trial": config,
                 "trial_index": 0,
                 "seed": 1,
-                "engine": None,
                 "code_fingerprint": "0" * 16,
             },
             {"x": 1.0},
@@ -415,7 +411,7 @@ class TestVerify:
 
 class TestCampaignCheckpoint:
     def test_round_trip(self, tmp_path):
-        key = campaign_key({"type": "T", "params": {}}, 4, 0, None, "0" * 16)
+        key = campaign_key({"type": "T", "params": {}}, 4, 0, "0" * 16)
         ckpt = CampaignCheckpoint(tmp_path, key)
         ckpt.begin({"n_trials": 4})
         ckpt.record_trial(0, "k0", ok=True, cached=False)
