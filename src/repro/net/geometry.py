@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -190,9 +190,9 @@ class GridIndex:
             self._cells.setdefault(key, []).append(i)
         self._cells = {k: np.array(v, dtype=np.int64) for k, v in self._cells.items()}
 
-    def _candidates(self, x: float, y: float) -> np.ndarray:
-        cx = math.floor(x / self.cell_size)
-        cy = math.floor(y / self.cell_size)
+    def _candidates(self, cx: int, cy: int) -> np.ndarray:
+        """Points of cell ``(cx, cy)``'s 3x3 neighbourhood, cell by cell in
+        ``dx`` then ``dy`` order, each cell's points ascending."""
         chunks = []
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
@@ -203,14 +203,19 @@ class GridIndex:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(chunks)
 
-    def query_point(self, point: Point, radius: float) -> np.ndarray:
-        """Indices of stored points within ``radius`` of ``point``."""
+    def _check_radius(self, radius: float) -> None:
         if radius > self.cell_size + 1e-12:
             raise ValueError(
                 f"radius {radius} exceeds cell size {self.cell_size}; "
                 "build the index with cell_size >= radius"
             )
-        cand = self._candidates(point.x, point.y)
+
+    def query_point(self, point: Point, radius: float) -> np.ndarray:
+        """Indices of stored points within ``radius`` of ``point``."""
+        self._check_radius(radius)
+        cand = self._candidates(
+            math.floor(point.x / self.cell_size), math.floor(point.y / self.cell_size)
+        )
         if cand.size == 0:
             return cand
         d = self.positions[cand] - np.array([point.x, point.y])
@@ -227,19 +232,64 @@ class GridIndex:
     def neighbor_lists(self, radius: float) -> Tuple[np.ndarray, np.ndarray]:
         """All-pairs fixed-radius neighbours in CSR form.
 
-        Returns ``(indptr, indices)`` where the neighbours of point ``i``
-        are ``indices[indptr[i]:indptr[i+1]]``.  Symmetric by construction
-        (the geometric link model of Sec. II is distance-based).
+        Returns ``(indptr, indices)`` (int64, int32): the neighbours of
+        point ``i`` are ``indices[indptr[i]:indptr[i+1]]``, in
+        :meth:`query_index` order.  Symmetric by construction (the link
+        model of Sec. II is distance-based).  The distance blocks are
+        evaluated twice, to count each row and then to fill the CSR
+        preallocated from those counts, so peak memory is one CSR.
         """
-        n = self.positions.shape[0]
-        counts = np.zeros(n + 1, dtype=np.int64)
-        per_point = []
-        for i in range(n):
-            nb = self.query_index(i, radius)
-            per_point.append(nb)
-            counts[i + 1] = nb.size
-        indptr = np.cumsum(counts)
-        indices = (
-            np.concatenate(per_point) if per_point else np.empty(0, dtype=np.int64)
-        )
+        self._check_radius(radius)
+        indptr = np.zeros(self.positions.shape[0] + 1, dtype=np.int64)
+        for rows, _, hits in self._blocks(radius):
+            indptr[rows + 1] = np.count_nonzero(hits, axis=1)
+        np.cumsum(indptr, out=indptr)
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        for rows, cand, hits in self._blocks(radius):
+            hit_ids = np.extract(hits, np.broadcast_to(cand, hits.shape))
+            indices[csr_positions(indptr, rows)] = hit_ids
         return indptr, indices
+
+    def _blocks(self, radius: float, max_elems: int = 1 << 16):
+        """Yield ``(rows, cand, hits)``: runs of each cell's points, the
+        cell's :meth:`_candidates` (int32) and the block "candidate within
+        ``radius`` of the row's point, and not that point" — evaluated with
+        :meth:`query_point`'s float expression, at most ``max_elems``
+        entries per block."""
+        xs, ys = self.positions[:, 0], self.positions[:, 1]
+        for (cx, cy), members in self._cells.items():
+            cand = self._candidates(cx, cy)
+            own = int(np.argmax(cand == members[0]))  # the cell's first point
+            cand_x, cand_y = xs[cand], ys[cand]
+            cand = cand.astype(np.int32)
+            step = max(1, max_elems // cand.size)
+            for lo in range(0, members.size, step):
+                rows = members[lo : lo + step]
+                d = (cand_x - xs[rows, None]) ** 2
+                d += (cand_y - ys[rows, None]) ** 2
+                hits = d <= radius * radius
+                k = np.arange(rows.size)
+                hits[k, own + lo + k] = False
+                yield rows, cand, hits
+
+
+def csr_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Flat positions of the CSR entries of ``rows``, row by row in the
+    given order, without a per-row loop."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(pos.size)
+    return pos
+
+
+def csr_row_runs(
+    indptr: np.ndarray, rows: np.ndarray, max_entries: int = 1 << 16
+) -> List[np.ndarray]:
+    """Split ``rows`` where their running CSR entry count crosses a
+    multiple of ``max_entries``, bounding per-entry temporaries: a run
+    holds fewer than ``max_entries`` entries beyond its first row's."""
+    ends = np.cumsum(indptr[rows + 1] - indptr[rows])
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(max_entries, total, max_entries))
+    return [run for run in np.split(rows, cuts) if run.size]

@@ -18,12 +18,21 @@ engine and by the metrics, exactly like the authors' simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.net.geometry import GridIndex, Point, density_for, pairwise_distance, uniform_disk
+from repro.net.geometry import (
+    GridIndex,
+    Point,
+    csr_positions,
+    csr_row_runs,
+    density_for,
+    pairwise_distance,
+    uniform_disk,
+)
+from repro.obs import metrics as obs_metrics
 
 #: Tier value assigned to tags that cannot reach any reader.
 UNREACHABLE = -1
@@ -106,21 +115,11 @@ class Network:
             if len(np.unique(ids)) != n:
                 raise ValueError("tag IDs must be unique")
 
-        if n:
+        with obs_metrics.OBS.span("topology/neighbors"):
             index = GridIndex(positions, cell_size=tag_range)
             indptr, indices = index.neighbor_lists(tag_range)
-        else:
-            indptr = np.zeros(1, dtype=np.int64)
-            indices = np.empty(0, dtype=np.int64)
 
-        reader_distance = np.full(n, np.inf)
-        tier1 = np.zeros(n, dtype=bool)
-        for reader in readers:
-            d = pairwise_distance(positions, reader.position)
-            reader_distance = np.minimum(reader_distance, d)
-            tier1 |= d <= reader.tag_to_reader_range
-
-        tiers = _bfs_tiers(n, indptr, indices, tier1)
+        tiers, reader_distance = _reader_tiers(positions, readers, indptr, indices)
         return cls(
             positions=positions,
             tag_ids=ids,
@@ -245,23 +244,11 @@ class Network:
         """
         if not readers:
             raise ValueError("at least one reader is required")
-        n = self.n_tags
-        reader_distance = np.full(n, np.inf)
-        tier1 = np.zeros(n, dtype=bool)
-        for reader in readers:
-            d = pairwise_distance(self.positions, reader.position)
-            reader_distance = np.minimum(reader_distance, d)
-            tier1 |= d <= reader.tag_to_reader_range
-        tiers = _bfs_tiers(n, self.indptr, self.indices, tier1)
-        net = Network(
-            positions=self.positions,
-            tag_ids=self.tag_ids,
-            readers=list(readers),
-            tag_range=self.tag_range,
-            indptr=self.indptr,
-            indices=self.indices,
-            tiers=tiers,
-            reader_distance=reader_distance,
+        tiers, reader_distance = _reader_tiers(
+            self.positions, readers, self.indptr, self.indices
+        )
+        net = replace(
+            self, readers=list(readers), tiers=tiers, reader_distance=reader_distance
         )
         cached = getattr(self, "_packed_adjacency", None)
         if cached is not None:
@@ -289,25 +276,35 @@ class Network:
         )
 
 
-def _bfs_tiers(
-    n: int, indptr: np.ndarray, indices: np.ndarray, tier1: np.ndarray
-) -> np.ndarray:
-    """Multi-source BFS from the tier-1 set over the tag-to-tag graph."""
-    tiers = np.full(n, UNREACHABLE, dtype=np.int64)
-    frontier = np.flatnonzero(tier1)
-    tiers[frontier] = 1
-    level = 1
-    while frontier.size:
-        # Gather all neighbours of the frontier, then keep the unvisited.
-        chunks = [indices[indptr[i] : indptr[i + 1]] for i in frontier.tolist()]
-        if not chunks:
-            break
-        nxt = np.unique(np.concatenate(chunks))
-        nxt = nxt[tiers[nxt] == UNREACHABLE]
-        level += 1
-        tiers[nxt] = level
-        frontier = nxt
-    return tiers
+def _reader_tiers(
+    positions: np.ndarray,
+    readers: Sequence[Reader],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Tiers by multi-source BFS from the tags some reader hears, and each
+    tag's distance to its nearest reader."""
+    n = positions.shape[0]
+    with obs_metrics.OBS.span("topology/tiers"):
+        reader_distance = np.full(n, np.inf)
+        tier1 = np.zeros(n, dtype=bool)
+        for reader in readers:
+            d = pairwise_distance(positions, reader.position)
+            reader_distance = np.minimum(reader_distance, d)
+            tier1 |= d <= reader.tag_to_reader_range
+        tiers = np.full(n, UNREACHABLE, dtype=np.int64)
+        frontier = np.flatnonzero(tier1)
+        tiers[frontier] = 1
+        level = 1
+        while frontier.size:
+            # Mark every neighbour of the frontier, then keep the unvisited.
+            reached = np.zeros(n, dtype=bool)
+            for run in csr_row_runs(indptr, frontier):
+                reached[indices[csr_positions(indptr, run)]] = True
+            frontier = np.flatnonzero(reached & (tiers == UNREACHABLE))
+            level += 1
+            tiers[frontier] = level
+    return tiers, reader_distance
 
 
 @dataclass(frozen=True)

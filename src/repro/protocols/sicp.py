@@ -36,8 +36,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.net.energy import ID_BITS, EnergyLedger
+from repro.net.geometry import csr_positions, csr_row_runs
 from repro.net.timing import SlotCount
 from repro.net.topology import Network
+from repro.obs import metrics as obs_metrics
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,13 @@ class SICPResult:
         return self.slots.total_slots
 
 
-def _edge_sources(network: Network) -> np.ndarray:
-    """Per-edge source index aligned with ``network.indices``."""
-    return np.repeat(
-        np.arange(network.n_tags, dtype=np.int64), np.diff(network.indptr)
-    )
+def _edges(network: Network, rows: np.ndarray):
+    """Yield ``(src, dst)`` for the links of ``rows`` in CSR order (rows
+    ascending give the CSR's own edge order), a bounded run at a time."""
+    indptr = network.indptr
+    for run in csr_row_runs(indptr, rows):
+        src = np.repeat(run, indptr[run + 1] - indptr[run])
+        yield src, network.indices[csr_positions(indptr, run)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +160,6 @@ def build_tree(
     succeeds once.
     """
     n = network.n_tags
-    indptr, indices = network.indptr, network.indices
-    edge_src = _edge_sources(network)
-
     parent = np.full(n, SpanningTree.UNATTACHED, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
     attach_order: List[int] = []
@@ -179,28 +180,28 @@ def build_tree(
         adopted_parent = np.full(n, -1, dtype=np.int64)
         adopted_key = np.full(n, np.inf)
 
+        # Contending neighbours of every tag: the link graph is symmetric,
+        # so they are the contenders whose rows list it.  Kept up to date
+        # as announcers succeed and leave contention.
+        tx_neighbors = np.zeros(n, dtype=np.int64)
+        for _, dst in _edges(network, current):
+            tx_neighbors += np.bincount(dst, minlength=n)
+
         windows_used = 0
         while contender.any() and windows_used < params.max_announce_windows:
             windows_used += 1
+            rows = np.flatnonzero(contender)
             # Worst-case local contention: contending neighbours + self.
-            local = np.bincount(
-                edge_src, weights=contender[indices].astype(np.float64), minlength=n
-            )
-            max_local = int(local[contender].max()) + 1 if contender.any() else 1
+            max_local = int(tx_neighbors[rows].max()) + 1
             window = max(
                 params.announce_base_window, 1 << (max_local - 1).bit_length()
             )
 
-            picks = np.where(
-                contender, rng.integers(0, window, size=n), -1
-            ).astype(np.int64)
+            picks = np.where(contender, rng.integers(0, window, size=n), -1)
             # Collision: some contending neighbour picked the same slot.
-            same = (
-                (picks[edge_src] >= 0)
-                & (picks[edge_src] == picks[indices])
-            )
             collided = np.zeros(n, dtype=bool)
-            np.logical_or.at(collided, edge_src[same], True)
+            for src, dst in _edges(network, rows):
+                collided[src[picks[src] == picks[dst]]] = True
             succeeded = contender & ~collided
 
             # Energy: every contender transmits a 96-bit beacon this
@@ -212,9 +213,6 @@ def build_tree(
             ledger.add_sent_bulk(
                 np.where(contender, float(params.id_bits), 0.0)
             )
-            tx_neighbors = np.bincount(
-                edge_src, weights=contender[indices].astype(np.float64), minlength=n
-            )
             ledger.add_received_bulk(
                 np.where(awake, tx_neighbors * (params.id_bits - 1), 0.0)
             )
@@ -223,15 +221,17 @@ def build_tree(
             # Uniform-random adoption: every (successful announcer →
             # unattached listener) pair is a candidate edge; each listener
             # picks one candidate with a random key minimised across the
-            # stage's windows.
-            succ_edge = succeeded[edge_src] & unattached[indices]
-            if succ_edge.any():
-                listeners = indices[succ_edge]
-                announcers = edge_src[succ_edge]
-                keys = rng.random(announcers.shape[0])
-                np.minimum.at(adopted_key, listeners, keys)
-                chosen = keys == adopted_key[listeners]
-                adopted_parent[listeners[chosen]] = announcers[chosen]
+            # stage's windows.  Runs are consumed in edge order, so the
+            # keys are the same draws one call over all edges would make.
+            for src, dst in _edges(network, np.flatnonzero(succeeded)):
+                tx_neighbors -= np.bincount(dst, minlength=n)
+                listen = unattached[dst]
+                if listen.any():
+                    listeners, announcers = dst[listen], src[listen]
+                    keys = rng.random(listeners.shape[0])
+                    np.minimum.at(adopted_key, listeners, keys)
+                    chosen = keys == adopted_key[listeners]
+                    adopted_parent[listeners[chosen]] = announcers[chosen]
             contender &= ~succeeded
 
         newly = np.flatnonzero((adopted_parent >= 0) & unattached)
@@ -266,19 +266,12 @@ def collect_ids(
     attached tag carrier-senses the whole phase.
     """
     n = network.n_tags
-    indptr, indices = network.indptr, network.indices
-    edge_src = _edge_sources(network)
     attached = tree.attached_mask()
-    subtree = tree.subtree_sizes()
-
-    sends = np.where(attached, subtree, 0).astype(np.int64)
+    sends = tree.subtree_sizes()  # 0 for unattached tags
     n_events = int(sends.sum())
-    if n_events:
-        backoff_total = int(
-            rng.integers(0, params.relay_contention_window, size=n_events).sum()
-        )
-    else:
-        backoff_total = 0
+    backoff_total = int(
+        rng.integers(0, params.relay_contention_window, size=n_events).sum()
+    )
     phase_short = backoff_total + n_events * params.ack_slots
     phase_slots = SlotCount(short_slots=phase_short, id_slots=n_events)
     phase_total = phase_slots.total_slots
@@ -288,37 +281,36 @@ def collect_ids(
     # Acks: a tag receives one ack per transfer it makes, and sends one ack
     # per ID it receives from children (= subtree - 1 of them).
     received = sends.astype(np.float64)
-    sent = sent + np.where(attached, (subtree - 1).clip(min=0), 0)
+    sent = sent + (sends - 1).clip(min=0)
     # Carrier sensing for the whole serialized phase.
     received = received + np.where(attached, float(phase_total), 0.0)
     # Overheard payloads: every attached neighbour of a transmitter
-    # captures the 95 bits beyond the sensed one, for each of its sends.
-    overheard = np.bincount(
-        edge_src,
-        weights=sends[indices].astype(np.float64) * (params.id_bits - 1),
-        minlength=n,
-    )
+    # captures the 95 bits beyond the sensed one, for each of its sends
+    # (exact integer row sums, a bounded run of rows at a time).
+    indptr = network.indptr
+    overheard = np.zeros(n)
+    for run in csr_row_runs(indptr, np.arange(n)):
+        bounds = indptr[run[0] : run[-1] + 2]
+        heard = np.cumsum(sends[network.indices[bounds[0] : bounds[-1]]])
+        overheard[run] = np.diff(np.concatenate(([0], heard))[bounds - bounds[0]])
+    overheard *= params.id_bits - 1
     received = received + np.where(attached, overheard, 0.0)
     ledger.add_sent_bulk(sent.astype(np.float64))
     ledger.add_received_bulk(received)
 
-    # Reader-arrival order: post-order over the forest.
-    roots = np.flatnonzero(tree.parent == SpanningTree.ROOT).tolist()
+    # Reader-arrival order: post-order over the forest, i.e. the reverse
+    # of a preorder that visits roots and children last-first.
     children: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        p = int(tree.parent[i])
+    for i, p in enumerate(tree.parent.tolist()):
         if p >= 0:
             children[p].append(i)
+    stack = np.flatnonzero(tree.parent == SpanningTree.ROOT).tolist()
     post: List[int] = []
-    stack = [(r, False) for r in reversed(roots)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            post.append(node)
-            continue
-        stack.append((node, True))
-        for c in reversed(children[node]):
-            stack.append((c, False))
+        node = stack.pop()
+        post.append(node)
+        stack.extend(children[node])
+    post.reverse()
     collected = [int(network.tag_ids[t]) for t in post]
     return collected, phase_slots
 
@@ -334,8 +326,11 @@ def run_sicp(
     if rng is None:
         rng = np.random.default_rng(seed)
     ledger = EnergyLedger(network.n_tags)
-    tree, phase1 = build_tree(network, params, rng, ledger)
-    collected, phase2 = collect_ids(network, tree, params, rng, ledger)
+    obs = obs_metrics.OBS
+    with obs.span("sicp/build_tree"):
+        tree, phase1 = build_tree(network, params, rng, ledger)
+    with obs.span("sicp/collect_ids"):
+        collected, phase2 = collect_ids(network, tree, params, rng, ledger)
     return SICPResult(
         collected_ids=collected,
         tree=tree,

@@ -138,6 +138,27 @@ class TestObservabilityFlags:
         spans = {r["path"] for r in records if r["type"] == "span"}
         assert "experiment:fig3" in spans
 
+    def test_tables_metrics_split_deploy_and_sicp(self, tmp_path, capsys):
+        import json
+
+        metrics_path = tmp_path / "tables.metrics.ndjson"
+        main(["tables", "--n-tags", "400", "--trials", "1",
+              "--metrics-out", str(metrics_path)])
+        capsys.readouterr()
+        spans = {
+            rec["path"]
+            for line in metrics_path.read_text().splitlines()
+            if (rec := json.loads(line))["type"] == "span"
+        }
+        point = "experiment:master/sweep_point"
+        for layer in (
+            "deploy/topology/neighbors",
+            "deploy/topology/tiers",
+            "protocol:sicp/sicp/build_tree",
+            "protocol:sicp/sicp/collect_ids",
+        ):
+            assert f"{point}/{layer}" in spans, sorted(spans)
+
 
 class TestProfileCommand:
     def test_profile_prints_table_and_writes_artifacts(self, tmp_path, capsys):

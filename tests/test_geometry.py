@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.geometry import (
     GridIndex,
     Point,
     clustered_disk,
+    csr_positions,
+    csr_row_runs,
     density_for,
     disk_area,
     grid_deployment,
@@ -191,3 +194,69 @@ class TestGridIndex:
         pos = np.array([[-0.5, -0.5], [-0.6, -0.4], [10.0, 10.0]])
         index = GridIndex(pos, cell_size=1.0)
         assert set(index.query_index(0, 1.0).tolist()) == {1}
+
+
+@st.composite
+def deployments(draw):
+    """``(positions, radius)``: random points in a box straddling the
+    origin, Gaussian clusters, or an unjittered grid whose spacing is the
+    radius (points on cell edges, axis neighbours at distance exactly r)."""
+    kind = draw(st.sampled_from(["random", "clustered", "on-grid"]))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if kind == "on-grid":
+        rows = draw(st.integers(min_value=1, max_value=12))
+        cols = draw(st.integers(min_value=1, max_value=12))
+        return grid_deployment(rows, cols, spacing=radius), radius
+    n = draw(st.integers(min_value=0, max_value=150))
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-8.0, 8.0, size=(n, 2)), radius
+    return clustered_disk(n, 10.0, n_clusters=3, cluster_sigma=0.7, seed=seed), radius
+
+
+class TestNeighborListsProperty:
+    """The block-wise CSR build against the per-point reference path."""
+
+    def _check(self, pos, radius):
+        index = GridIndex(pos, cell_size=radius)
+        indptr, indices = index.neighbor_lists(radius)
+        n = pos.shape[0]
+        assert indptr.dtype == np.int64 and indices.dtype == np.int32
+        assert indptr.shape == (n + 1,) and indptr[0] == 0
+        assert indptr[-1] == indices.size
+        for i in range(n):
+            np.testing.assert_array_equal(
+                indices[indptr[i] : indptr[i + 1]], index.query_index(i, radius)
+            )
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        forward = sorted(zip(src.tolist(), indices.tolist()))
+        assert forward == sorted(zip(indices.tolist(), src.tolist()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(deployments())
+    def test_rows_match_query_index(self, deployment):
+        self._check(*deployment)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single(self, n):
+        self._check(np.full((n, 2), -3.5), 2.0)
+
+
+class TestCsrHelpers:
+    def test_positions_follow_row_order(self):
+        indptr = np.array([0, 2, 2, 5, 6])
+        np.testing.assert_array_equal(
+            csr_positions(indptr, np.array([3, 0, 1, 2])), [5, 0, 1, 2, 3, 4]
+        )
+        assert csr_positions(indptr, np.array([], dtype=np.int64)).size == 0
+
+    def test_row_runs_cover_rows_in_order(self):
+        indptr = np.array([0, 3, 3, 10, 11, 14])
+        rows = np.arange(5)
+        runs = csr_row_runs(indptr, rows, max_entries=4)
+        np.testing.assert_array_equal(np.concatenate(runs), rows)
+        for run in runs:
+            first = indptr[run[0] + 1] - indptr[run[0]]
+            assert csr_positions(indptr, run).size < 4 + first
+        assert csr_row_runs(indptr, rows[:0]) == []
