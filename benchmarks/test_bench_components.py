@@ -7,6 +7,7 @@ BFS tiering, one propagation round, and SICP's tree construction.
 
 import numpy as np
 
+from repro.core.batch import masks_to_words
 from repro.core.bitmap import Bitmap
 from repro.net.channel import PerfectChannel
 from repro.net.energy import EnergyLedger
@@ -74,18 +75,19 @@ def test_network_build_with_tiers(benchmark, bench_network):
 
 
 def test_propagation_round(benchmark, bench_network):
-    """One data-frame propagation across the whole bench network."""
+    """One data-frame propagation across the whole bench network, on the
+    packed words the kernel's tag-major path hands the channel."""
     channel = PerfectChannel()
     picks = frame_picks(bench_network.tag_ids, 1671, 1.0, seed=5)
-    transmit = [1 << s for s in picks]
+    transmit = masks_to_words([1 << s for s in picks], 1671)
 
     def one_round():
-        return channel.propagate(
+        return channel.propagate_packed(
             transmit, bench_network.indptr, bench_network.indices
         )
 
     heard = benchmark(one_round)
-    assert any(heard)
+    assert heard.any()
 
 
 def test_sicp_tree_construction(benchmark, bench_network):

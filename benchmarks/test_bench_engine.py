@@ -2,8 +2,9 @@
 
 Runs the *same* GMLE-style session (f = 1,671, p = 1.59 f/n, r = 6 m)
 through ``run_session`` (the batch kernel, "packed") and
-``run_bigint_session`` (the oracle, "bigint"), asserts the results are
-bit-identical, and records the speedup.  At the paper's n = 10,000 the
+``run_bigint_session`` (the test oracle in ``tests/oracle.py``,
+"bigint"), asserts the results are bit-identical, and records the
+speedup.  At the paper's n = 10,000 the
 kernel must be at least 5× faster than the big-int oracle; CI runs a reduced-n smoke
 version via ``REPRO_BENCH_ENGINE_NTAGS`` where only the equivalence is
 asserted (small sessions don't amortise the vectorisation overhead).
@@ -21,12 +22,12 @@ import os
 import pathlib
 import time
 
-from repro.core.engine import run_bigint_session
 from repro.core.session import CCMConfig, _picks_to_masks, run_session
 from repro.experiments import paperconfig as cfg
 from repro.net.topology import PaperDeployment, paper_network
 from repro.obs import RunManifest
 from repro.protocols.transport import frame_picks
+from tests.oracle import run_bigint_session
 
 PAPER_N_TAGS = 10_000
 N_TAGS = int(os.environ.get("REPRO_BENCH_ENGINE_NTAGS", PAPER_N_TAGS))

@@ -2,9 +2,10 @@
 
 Runs the same GMLE-style lossy session (f = 1,671, p = 1.59 f/n,
 r = 6 m, loss = 0.2) through ``run_session`` (the batch kernel,
-"packed") and ``run_bigint_session`` (the oracle, "bigint") from
-identically-seeded rngs, asserts the results are bit-identical (the
-``repro-channel-rng-v1`` contract), and records the speedup.  At the
+"packed") and ``run_bigint_session`` (the test oracle in
+``tests/oracle.py``, "bigint") from identically-seeded rngs, asserts
+the results are bit-identical (the ``repro-channel-rng-v1`` contract),
+and records the speedup.  At the
 paper's n = 10,000 the kernel must be at least 8× faster than the
 big-int oracle —
 the lossy robustness sweeps are the most Monte-Carlo-heavy experiments,
@@ -24,13 +25,13 @@ import time
 
 import numpy as np
 
-from repro.core.engine import run_bigint_session
 from repro.core.session import CCMConfig, _picks_to_masks, run_session
 from repro.experiments import paperconfig as cfg
 from repro.net.channel import LossyChannel
 from repro.net.topology import PaperDeployment, paper_network
 from repro.obs import RunManifest
 from repro.protocols.transport import frame_picks
+from tests.oracle import run_bigint_session
 
 PAPER_N_TAGS = 10_000
 N_TAGS = int(os.environ.get("REPRO_BENCH_LOSSY_NTAGS", PAPER_N_TAGS))

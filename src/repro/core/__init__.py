@@ -13,14 +13,10 @@ This subpackage is the paper's primary contribution.  Typical use::
     print(result.bitmap.popcount(), "busy slots in", result.rounds, "rounds")
 
 ``run_session`` runs on the batch kernel (:mod:`repro.core.batch`,
-B whole sessions per numpy call) at B = 1 for the built-in channels,
-and on the big-int oracle (:func:`run_bigint_session`,
-:mod:`repro.core.engine`) for any other channel; the two are
-bit-identical.
+B whole sessions per numpy call) at B = 1.
 """
 
 from repro.core.bitmap import Bitmap, union
-from repro.core.engine import run_bigint_session
 from repro.core.multireader import MultiReaderResult, run_multireader_session
 from repro.core.reliability import RobustCollectResult, robust_collect
 from repro.core.session import (
@@ -49,7 +45,6 @@ __all__ = [
     "run_session_batch",
     "BATCH_RNG_CONTRACT",
     "batch_trial_rngs",
-    "run_bigint_session",
     "RobustCollectResult",
     "robust_collect",
     "MultiReaderResult",

@@ -26,11 +26,11 @@ popcounts.
 Determinism: the ``repro-batch-rng-v1`` contract
 ------------------------------------------------
 The executable reference for a batched trial is the per-trial scalar
-big-int oracle (:func:`repro.core.engine.run_bigint_session`), which
-consumes the same ``repro-channel-rng-v1`` stream: running trial k
-alone through it and running trial k inside any batch must produce
-bit-identical results (bitmap, rounds, slots, round stats, energy
-floats).  The contract that pins this:
+big-int oracle (``tests/oracle.py``), which consumes the same
+``repro-channel-rng-v1`` stream: running trial k alone through it and
+running trial k inside any batch must produce bit-identical results
+(bitmap, rounds, slots, round stats, energy floats).  The contract that
+pins this:
 
 * Each trial owns a private :class:`numpy.random.Generator` seeded from
   the existing campaign stream (``trial_seed(base_seed, k)``) — exactly
@@ -63,19 +63,18 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.core.engine import (
-    _pack_bool_mask,
-    _word_counts,
-    masks_to_words,
-    words_to_int,
-)
 from repro.core.session import (
     CCMConfig,
     RoundStats,
     SessionResult,
     default_checking_frame_length,
 )
-from repro.net.channel import Channel, PerfectChannel, or_reduce_segments
+from repro.net.channel import (
+    Channel,
+    LossyChannel,
+    PerfectChannel,
+    or_reduce_segments,
+)
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount, indicator_vector_slots
 from repro.net.topology import Network
@@ -127,6 +126,49 @@ def batch_trial_rngs(
     ]
 
 
+if hasattr(np, "bitwise_count"):
+
+    def _word_counts(words: np.ndarray) -> np.ndarray:
+        """Per-word popcount of a uint64 array (same shape)."""
+        return np.bitwise_count(words)
+
+else:  # pragma: no cover - NumPy < 2.0 fallback
+    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+    def _word_counts(words: np.ndarray) -> np.ndarray:
+        as_bytes = np.ascontiguousarray(words).view(np.uint8)
+        return _POP8[as_bytes].reshape(*words.shape, 8).sum(axis=-1)
+
+
+def masks_to_words(masks: Sequence[int], frame_size: int) -> np.ndarray:
+    """Pack per-tag f-bit integers into an ``(n, ceil(f/64))`` uint64 array.
+
+    Word w of row i holds bits ``64w .. 64w+63`` of ``masks[i]`` (slot s is
+    bit ``s % 64`` of word ``s // 64``).
+    """
+    n = len(masks)
+    n_words = max(1, (frame_size + 63) // 64)
+    n_bytes = n_words * 8
+    buf = b"".join(int(m).to_bytes(n_bytes, "little") for m in masks)
+    packed = np.frombuffer(buf, dtype="<u8").reshape(n, n_words)
+    return packed.astype(np.uint64)
+
+
+def words_to_int(words: np.ndarray) -> int:
+    """Inverse of :func:`masks_to_words` for one row (or any 1-D word run)."""
+    return int.from_bytes(
+        np.ascontiguousarray(words, dtype="<u8").tobytes(), "little"
+    )
+
+
+def _pack_bool_mask(mask: np.ndarray, n_words: int) -> np.ndarray:
+    """Pack a boolean vector into ``n_words`` little-endian uint64 words."""
+    out = np.zeros(n_words * 8, dtype=np.uint8)
+    packed = np.packbits(mask, bitorder="little")
+    out[: packed.size] = packed
+    return out.view(np.uint64)
+
+
 def _pack_rows(mat: np.ndarray, n_words: int) -> np.ndarray:
     """Pack each row of a boolean matrix into ``n_words`` uint64 words."""
     rows = mat.shape[0]
@@ -161,7 +203,7 @@ def _run_checking_frame_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All B checking frames at once (Alg. 1 lines 14-24, trial-bit packed).
 
-    Mirrors :func:`repro.core.engine.run_checking_frame` per trial: the
+    Mirrors the oracle's checking frame per trial: the
     state is transposed into trial-bit words — ``frontier[t]`` holds one
     bit per *trial* for tag ``t`` — so each BFS step is a single
     :func:`~repro.net.channel.or_reduce_segments` over the CSR adjacency
@@ -810,9 +852,10 @@ def run_session_batch(
     draws randomness — see :func:`batch_trial_rngs`).
 
     Every returned :class:`~repro.core.session.SessionResult` is
-    bit-identical to running that trial alone through
-    :func:`~repro.core.engine.run_bigint_session` with the same masks
-    and generator.
+    bit-identical to running that trial alone through the big-int oracle
+    (``tests/oracle.py``) with the same masks and generator.  ``channel``
+    must be ``None`` or an exact :class:`~repro.net.channel.PerfectChannel`
+    or :class:`~repro.net.channel.LossyChannel` (else :class:`TypeError`).
     """
     if (masks_batch is None) == (picks_batch is None):
         raise ValueError(
@@ -858,22 +901,24 @@ def _run_batch(
     The body of :func:`run_session_batch` without its input checks and
     ``ccm_batch_*`` call counters — the entry point of single sessions
     (:func:`~repro.core.session.run_session` and the scenario engine),
-    whose masks have already been validated.  A
-    ``round_hook`` (see :func:`_batch_tag_major`) always takes the
-    tag-major path.
+    whose masks have already been validated.  The one channel gate of
+    the package: the channel is ``None`` or an exact built-in type.  A
+    lossless channel draws nothing, so it takes the silent slot-major
+    path unless a ``round_hook`` (see :func:`_batch_tag_major`) asks for
+    tag-major.
     """
-    channel = channel or PerfectChannel()
-    if not getattr(channel, "supports_packed", False):
-        raise ValueError(
-            f"channel {type(channel).__name__} does not implement the "
-            "packed-word interface the batch kernel needs; run its "
-            "sessions through run_session, which routes it to the oracle"
+    if channel is None:
+        channel = PerfectChannel()
+    elif type(channel) not in (PerfectChannel, LossyChannel):
+        raise TypeError(
+            f"channel must be None, PerfectChannel or LossyChannel, got "
+            f"{type(channel).__name__}"
         )
     n = network.n_tags
     with obs_metrics.OBS.span("session_batch"):
         if (
             round_hook is None
-            and channel.is_perfect
+            and channel.loss == 0.0
             and n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
         ):
             return _batch_slot_major(

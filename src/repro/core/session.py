@@ -28,15 +28,13 @@ Implementation notes
 --------------------
 This module is the *API*: parameter objects, result objects, validation,
 and the single entry point :func:`run_session`.  The per-round mechanics
-run on the batch kernel (:mod:`repro.core.batch`, at B = 1) for the
-built-in channels, and on the channel-agnostic big-int oracle
-(:func:`repro.core.engine.run_bigint_session`) for any other
-:class:`~repro.net.channel.Channel`; the two are bit-identical.  The
-tracer events and ``ccm_*`` protocol counters are derived once per
-session from the result (:func:`emit_session_observables`), not inside
-any round loop.  Tags are *state-free*: the per-tag state a session
-carries (pending/known/done masks) exists only *within* one session,
-exactly as in the protocol, and nothing survives between sessions.
+run on the batch kernel (:mod:`repro.core.batch`, at B = 1), which
+accepts the built-in channels only.  The tracer events and ``ccm_*``
+protocol counters are derived once per session from the result
+(:func:`emit_session_observables`), not inside any round loop.  Tags
+are *state-free*: the per-tag state a session carries
+(pending/known/done masks) exists only *within* one session, exactly
+as in the protocol, and nothing survives between sessions.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.net.channel import Channel, LossyChannel, PerfectChannel
+from repro.net.channel import Channel
 from repro.net.energy import EnergyLedger
 from repro.net.timing import SlotCount
 from repro.net.topology import Network
@@ -261,9 +259,8 @@ def run_session(
     channel:
         Slot-level channel model; defaults to the paper's perfect
         busy/idle sensing.  ``None``, :class:`~repro.net.channel.
-        PerfectChannel` and :class:`~repro.net.channel.LossyChannel`
-        (exact types) run on the batch kernel; any other channel runs
-        on the big-int oracle.
+        PerfectChannel` or :class:`~repro.net.channel.LossyChannel`
+        (exact types); any other channel raises :class:`TypeError`.
     rng:
         Randomness source, required only by lossy channels.
     ledger:
@@ -305,13 +302,11 @@ def run_session(
                     f"initial mask {out_of_range[0]:#x} has bits outside the "
                     f"{config.frame_size}-slot frame"
                 )
-        if channel is None or type(channel) in (PerfectChannel, LossyChannel):
-            # Deferred: repro.core.batch imports this module.
-            from repro.core.batch import _run_single as run_impl
-        else:
-            from repro.core.engine import run_bigint_session as run_impl
+        # Deferred: repro.core.batch imports this module.
+        from repro.core.batch import _run_single
+
         started = time.perf_counter()
-        result = run_impl(
+        result = _run_single(
             network, masks, config, channel=channel, rng=rng, ledger=ledger
         )
         emit_session_observables(result, config, tracer)

@@ -15,29 +15,20 @@ Two implementations are provided:
   to study CCM under unreliable channels (a paper-adjacent extension; the
   paper assumes reliable sensing).
 
-Each channel speaks two frame representations, matching the big-int
-oracle (:mod:`repro.core.engine`) and the batch kernel
-(:mod:`repro.core.batch`):
-
-* the **big-int** interface (:meth:`Channel.propagate` /
-  :meth:`Channel.reader_senses`): ``transmit[u]`` is an f-bit Python
-  integer, and propagation is one OR per edge;
-* the **packed-word** interface (:meth:`Channel.propagate_packed` /
-  :meth:`Channel.reader_senses_packed`): ``transmit`` is an
-  ``(n, ceil(f/64))`` uint64 array, and propagation is a segment-wise
-  ``np.bitwise_or.reduceat`` over the CSR adjacency
-  (:func:`or_reduce_segments`).
-
-Third-party channels only have to implement the big-int interface; the
-packed methods default to "unsupported", and
-:func:`~repro.core.session.run_session` runs any channel that is not an
-exact built-in type on the oracle.
+These two are the whole channel set: the batch kernel
+(:mod:`repro.core.batch`) accepts exactly ``None``, :class:`PerfectChannel`
+or :class:`LossyChannel` and raises :class:`TypeError` for anything else.
+A channel speaks packed words (:meth:`Channel.propagate_packed` /
+:meth:`Channel.reader_senses_packed`): ``transmit`` is an
+``(n, ceil(f/64))`` uint64 array, and reliable propagation is a
+segment-wise ``np.bitwise_or.reduceat`` over the CSR adjacency
+(:func:`or_reduce_segments`).
 
 The channel RNG-draw contract (``repro-channel-rng-v1``)
 --------------------------------------------------------
 
-Randomized channels consume their ``rng`` in a pinned order so both frame
-representations produce *bit-identical* results from the same seed.  Per
+Randomized channels consume their ``rng`` in a pinned order, so a fixed
+seed gives *bit-identical* results however the draws are batched.  Per
 data frame:
 
 1. **Propagation.**  Transmitters are visited in ascending tag index; for
@@ -50,21 +41,23 @@ data frame:
    visited in ascending index; each non-zero mask again consumes one draw
    per set bit, LSB first, kept iff ``>= loss``.
 
-``loss == 0.0`` consumes no draws at all.  The big-int interface is the
-executable reference of this contract (scalar ``rng.random()`` per draw);
-the packed interface batches the identical stream, relying on the NumPy
-``Generator`` guarantee that ``rng.random(k)`` equals ``k`` successive
-scalar draws.  The contract version participates in
-:func:`repro.store.fingerprint.code_fingerprint`, so changing it
-invalidates memoized trial results.
+``loss == 0.0`` consumes no draws at all.  The executable reference of
+this contract is the scalar big-int consumer in ``tests/oracle.py`` (one
+``rng.random()`` per draw); :class:`LossyChannel` batches the identical
+stream, relying on the NumPy ``Generator`` guarantee that
+``rng.random(k)`` equals ``k`` successive scalar draws.  The contract
+version participates in :func:`repro.store.fingerprint.code_fingerprint`,
+so changing it invalidates memoized trial results.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
+
+from repro.net.geometry import csr_row_runs
 
 #: Version tag of the pinned RNG-draw order above.  Bump it whenever the
 #: order, shape, or keep-condition of channel randomness changes — cached
@@ -88,114 +81,57 @@ def or_reduce_segments(
 
     ``row_filter`` (a boolean per-row mask, typically "row transmits
     anything") drops edges whose source row is all-zero before gathering —
-    in late rounds only a handful of tags still transmit, so this turns an
-    O(edges) gather into an O(active edges) one.  ``chunk_words`` bounds
-    the temporary gather buffer (in 8-byte words), keeping peak memory
-    flat regardless of edge count.
+    in late rounds only a handful of tags still transmit, so the gather
+    shrinks to the active edges.  The listener rows are walked in runs of
+    about ``chunk_words // W`` CSR entries (:func:`~repro.net.geometry.
+    csr_row_runs`), and each run is filtered, gathered and reduced on its
+    own, so every temporary is bounded by the run, not the edge count.
     """
     n = int(indptr.shape[0]) - 1
     n_words = int(rows.shape[1])
     out = np.zeros((n, n_words), dtype=rows.dtype)
     if n == 0 or indices.size == 0:
         return out
-    if row_filter is not None:
-        keep = row_filter[indices]
-        if not keep.any():
-            return out
-        kept_before = np.concatenate(
-            ([0], np.cumsum(keep, dtype=np.int64))
-        )
-        indices = indices[keep]
-        indptr = kept_before[indptr]
-    if indices.size == 0:
+    if row_filter is not None and not row_filter.any():
         return out
-
-    max_edges = max(1, chunk_words // max(n_words, 1))
+    # The sentinel zero row makes every reduceat start index valid (rows
+    # whose segment is empty land on it) and pads the final segment with
+    # an OR-identity.
     sentinel = np.zeros((1, n_words), dtype=rows.dtype)
-    start = 0
-    while start < n:
-        # Grow the row block until its edge count hits the buffer budget
-        # (always at least one row, however large its neighbourhood).
-        end = int(
-            np.searchsorted(indptr, indptr[start] + max_edges, side="right")
-        ) - 1
-        end = min(max(end, start + 1), n)
-        lo, hi = int(indptr[start]), int(indptr[end])
-        if lo == hi:
-            start = end
+    max_entries = max(1, chunk_words // max(n_words, 1))
+    for run in csr_row_runs(indptr, np.arange(n), max_entries=max_entries):
+        start, end = int(run[0]), int(run[-1]) + 1
+        lo = int(indptr[start])
+        sources = indices[lo : int(indptr[end])]
+        bounds = indptr[start : end + 1] - lo
+        if row_filter is not None:
+            keep = row_filter[sources]
+            bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
+            sources = sources[keep]
+        if sources.size == 0:
             continue
-        gathered = rows[indices[lo:hi]]
-        # The sentinel zero row makes every reduceat start index valid
-        # (rows whose segment is empty land on it) and pads the final
-        # segment with an OR-identity.
-        gathered = np.concatenate([gathered, sentinel], axis=0)
-        starts = np.asarray(indptr[start:end] - lo, dtype=np.intp)
-        segment = np.bitwise_or.reduceat(gathered, starts, axis=0)
-        degree = np.diff(indptr[start : end + 1])
-        segment[degree == 0] = 0
+        gathered = np.concatenate([rows[sources], sentinel], axis=0)
+        segment = np.bitwise_or.reduceat(
+            gathered, bounds[:-1].astype(np.intp), axis=0
+        )
+        segment[bounds[:-1] == bounds[1:]] = 0
         out[start:end] = segment
-        start = end
     return out
 
 
 class Channel(abc.ABC):
-    """Propagation semantics for one frame (all f slots of one round)."""
+    """Propagation semantics for one frame (all f slots of one round).
 
-    #: True when the packed-word interface below is implemented; the
-    #: batch kernel checks this before dispatching.
-    supports_packed = False
+    The built-in :class:`PerfectChannel` and :class:`LossyChannel` are the
+    only channels the kernel accepts (exact types); ``loss == 0.0`` sends
+    a session onto the kernel's silent slot-major path, which never calls
+    the channel.
+    """
 
-    @property
-    def is_perfect(self) -> bool:
-        """True when this channel is *exactly* reliable busy/idle sensing.
-
-        The batch kernel uses this to route sessions onto the slot-major
-        fast path, which never calls the channel and never draws
-        randomness — so it must hold only for channels whose propagation
-        is the plain neighbourhood OR.  Deliberately strict about types:
-        a subclass may override propagation, so it reports False and stays
-        on the channel-driven path.
-        """
-        return False
+    #: Per-(transmitter, listener, slot) probability that sensing fails.
+    loss: float
 
     @abc.abstractmethod
-    def propagate(
-        self,
-        transmit: Sequence[int],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[int]:
-        """Compute what every tag hears during one frame.
-
-        Parameters
-        ----------
-        transmit:
-            ``transmit[u]`` is the f-bit integer of slots in which tag ``u``
-            transmits this round.
-        indptr, indices:
-            CSR adjacency of the tag-to-tag graph (symmetric).
-        rng:
-            Randomness source for lossy channels.
-
-        Returns
-        -------
-        ``heard`` where ``heard[t]`` is the f-bit integer of slots in which
-        tag ``t`` senses a busy channel (before half-duplex masking — the
-        session removes the slots ``t`` itself transmitted in).
-        """
-
-    @abc.abstractmethod
-    def reader_senses(
-        self,
-        transmit: Sequence[int],
-        tier1: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> int:
-        """Slots the reader senses busy, given tier-1 transmissions."""
-
-    # -- packed-word interface (optional) -----------------------------------
-
     def propagate_packed(
         self,
         transmit: np.ndarray,
@@ -203,63 +139,47 @@ class Channel(abc.ABC):
         indices: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """:meth:`propagate` over an ``(n, ceil(f/64))`` uint64 array."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the packed-word "
-            "channel interface; run_session runs this channel on the big-int "
-            "oracle"
-        )
+        """Compute what every tag hears during one frame.
 
+        ``transmit`` is the ``(n, ceil(f/64))`` uint64 array of slots each
+        tag transmits in this round; ``indptr``/``indices`` are the CSR
+        adjacency of the (symmetric) tag-to-tag graph.  Returns the same
+        shape: the slots each tag senses busy, before half-duplex masking
+        (the session removes the slots a tag itself transmitted in).
+        """
+
+    @abc.abstractmethod
     def reader_senses_packed(
         self,
         transmit: np.ndarray,
         tier1: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """:meth:`reader_senses` over packed words -> a ``(W,)`` word run."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the packed-word "
-            "channel interface; run_session runs this channel on the big-int "
-            "oracle"
-        )
+        """Slots the reader senses busy, given tier-1 transmissions, as a
+        ``(W,)`` word run."""
+
+
+def _or_neighbors(
+    transmit: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """Reliable propagation: every tag hears the OR of its neighbours."""
+    return or_reduce_segments(
+        transmit, indptr, indices, row_filter=transmit.any(axis=1)
+    )
+
+
+def _or_tier1(transmit: np.ndarray, tier1: np.ndarray) -> np.ndarray:
+    """Reliable reader sensing: the OR of the tier-1 rows."""
+    rows = transmit[tier1]
+    if rows.shape[0] == 0:
+        return np.zeros(transmit.shape[1], dtype=transmit.dtype)
+    return np.bitwise_or.reduce(rows, axis=0)
 
 
 class PerfectChannel(Channel):
     """Reliable busy/idle sensing — the model evaluated in the paper."""
 
-    supports_packed = True
-
-    @property
-    def is_perfect(self) -> bool:
-        return type(self) is PerfectChannel
-
-    def propagate(
-        self,
-        transmit: Sequence[int],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[int]:
-        heard = [0] * len(transmit)
-        # Iterate over transmitters only: each pushes its slot mask to its
-        # neighbours.  Big-int OR makes this one word-parallel op per edge.
-        for u, mask in enumerate(transmit):
-            if not mask:
-                continue
-            for t in indices[indptr[u] : indptr[u + 1]].tolist():
-                heard[t] |= mask
-        return heard
-
-    def reader_senses(
-        self,
-        transmit: Sequence[int],
-        tier1: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> int:
-        busy = 0
-        for u in np.flatnonzero(tier1).tolist():
-            busy |= transmit[u]
-        return busy
+    loss = 0.0
 
     def propagate_packed(
         self,
@@ -268,9 +188,7 @@ class PerfectChannel(Channel):
         indices: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        return or_reduce_segments(
-            transmit, indptr, indices, row_filter=transmit.any(axis=1)
-        )
+        return _or_neighbors(transmit, indptr, indices)
 
     def reader_senses_packed(
         self,
@@ -278,10 +196,7 @@ class PerfectChannel(Channel):
         tier1: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        rows = transmit[tier1]
-        if rows.shape[0] == 0:
-            return np.zeros(transmit.shape[1], dtype=transmit.dtype)
-        return np.bitwise_or.reduce(rows, axis=0)
+        return _or_tier1(transmit, tier1)
 
 
 #: Per-chunk bound on the number of Bernoulli draws the packed lossy path
@@ -298,76 +213,16 @@ class LossyChannel(Channel):
     slot each get an independent chance to be sensed, so collisions *help*
     reliability under this model — another benign-collision effect.
 
-    Both frame interfaces consume the ``repro-channel-rng-v1`` draw stream
-    (see the module docstring): the big-int methods are the scalar
-    reference implementation, and the packed methods batch the identical
-    draws with word-level masking — so for a fixed seed the two produce
-    bit-identical results, which is what lets
-    :func:`~repro.core.session.run_session` route lossy sessions onto
-    the batch kernel.
+    Both methods consume the ``repro-channel-rng-v1`` draw stream (see the
+    module docstring), batching the scalar reference's draws with
+    word-level masking, so a fixed seed gives the same bits as the
+    reference.
     """
 
-    supports_packed = True
-
-    def __init__(self, loss: float, frame_size_hint: Optional[int] = None):
+    def __init__(self, loss: float):
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {loss}")
         self.loss = loss
-        self._frame_size_hint = frame_size_hint
-
-    @property
-    def is_perfect(self) -> bool:
-        """``loss == 0.0`` degenerates to the perfect channel: the contract
-        consumes no draws, so the silent slot-major fast path is exact."""
-        return type(self) is LossyChannel and self.loss == 0.0
-
-    def _thin(self, mask: int, rng: np.random.Generator) -> int:
-        """Randomly clear each set bit of ``mask`` with probability loss.
-
-        One scalar draw per set bit, LSB first — the reference consumer of
-        the ``repro-channel-rng-v1`` stream for one edge (or one tier-1
-        reader sensing).
-        """
-        if self.loss == 0.0 or not mask:
-            return mask
-        out = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            if rng.random() >= self.loss:
-                out |= low
-            bits ^= low
-        return out
-
-    def propagate(
-        self,
-        transmit: Sequence[int],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[int]:
-        if rng is None:
-            raise ValueError("LossyChannel.propagate requires an rng")
-        heard = [0] * len(transmit)
-        for u, mask in enumerate(transmit):
-            if not mask:
-                continue
-            for t in indices[indptr[u] : indptr[u + 1]].tolist():
-                heard[t] |= self._thin(mask, rng)
-        return heard
-
-    def reader_senses(
-        self,
-        transmit: Sequence[int],
-        tier1: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-    ) -> int:
-        if rng is None:
-            raise ValueError("LossyChannel.reader_senses requires an rng")
-        busy = 0
-        for u in np.flatnonzero(tier1).tolist():
-            busy |= self._thin(transmit[u], rng)
-        return busy
 
     def propagate_packed(
         self,
@@ -378,8 +233,7 @@ class LossyChannel(Channel):
     ) -> np.ndarray:
         """Contract-ordered batched thinning over the CSR adjacency.
 
-        Bit-identical to :meth:`propagate` from the same rng state: draws
-        are taken with ``rng.random(k)`` calls batched across whole
+        Draws are taken with ``rng.random(k)`` calls batched across whole
         transmitter rows (stream-equivalent to one scalar draw per bit),
         and each row's survivors scatter into a flat per-(tag, slot) bit
         matrix through one broadcast ``targets × set-bit-columns`` linear
@@ -388,9 +242,7 @@ class LossyChannel(Channel):
         if rng is None:
             raise ValueError("LossyChannel.propagate_packed requires an rng")
         if self.loss == 0.0:
-            return or_reduce_segments(
-                transmit, indptr, indices, row_filter=transmit.any(axis=1)
-            )
+            return _or_neighbors(transmit, indptr, indices)
         n, n_words = transmit.shape
         f_bits = n_words * 64
         heard_flat = np.zeros(n * f_bits, dtype=np.uint8)
@@ -442,7 +294,7 @@ class LossyChannel(Channel):
                     cols = pos_col[pos_start[i] : pos_start[i] + c]
                     # (d, c) broadcast in C order matches the draw order;
                     # duplicate (tag, slot) survivors from different edges
-                    # just set the same bit — the OR of the big-int path.
+                    # just set the same bit — an OR.
                     lin = (
                         targets[:, None] * f_bits + cols[None, :]
                     ).reshape(-1)
@@ -458,17 +310,15 @@ class LossyChannel(Channel):
         tier1: np.ndarray,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        """Contract-ordered batched tier-1 sensing (see :meth:`_thin`)."""
+        """Contract-ordered batched tier-1 sensing: one draw per set bit
+        of each non-zero tier-1 row, ascending tag index, LSB first."""
         if rng is None:
             raise ValueError(
                 "LossyChannel.reader_senses_packed requires an rng"
             )
-        n_words = transmit.shape[1]
         if self.loss == 0.0:
-            rows = transmit[tier1]
-            if rows.shape[0] == 0:
-                return np.zeros(n_words, dtype=transmit.dtype)
-            return np.bitwise_or.reduce(rows, axis=0)
+            return _or_tier1(transmit, tier1)
+        n_words = transmit.shape[1]
         rows = transmit[tier1]
         rows = rows[rows.any(axis=1)]
         busy_bits = np.zeros(n_words * 64, dtype=np.uint8)

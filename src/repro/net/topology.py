@@ -205,7 +205,7 @@ class Network:
         the network — the batch kernel ORs these rows to compute
         which tags hear each slot, so sessions on the same network reuse
         one build.  Little-endian bit order throughout, matching
-        :func:`repro.core.engine.masks_to_words`.
+        :func:`repro.core.batch.masks_to_words`.
         """
         cached = getattr(self, "_packed_adjacency", None)
         if cached is not None:

@@ -24,8 +24,8 @@ With the hooks disabled (no trajectory or a static one, no link budget —
 the default ``ScenarioConfig()``), the engine passes no hook and the
 session is routed like :func:`~repro.core.session.run_session`'s:
 bit-identical bitmap, rounds, slots, round stats and ledger floats, at
-slot-major speed on the perfect channel — the static-equivalence pin the tests and CI smoke
-assert against ``run_session``.
+slot-major speed on the perfect channel — the static-equivalence pin the
+tests assert against ``run_session`` and the big-int oracle.
 
 A session that terminates while a *sleeping* reachable tag still holds
 pending data reports ``terminated_cleanly=False``: the reader cannot hear

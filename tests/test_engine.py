@@ -1,4 +1,5 @@
-"""Tests for repro.core.engine — the big-int oracle — and session routing.
+"""Tests of the batch kernel against the big-int oracle (``tests/oracle.py``)
+and of session routing.
 
 The contract under test is the strongest one the design makes: for any
 network, initial masks and config, ``run_session`` (the batch kernel at
@@ -11,27 +12,20 @@ exact in any association).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 import repro.core.batch as batch_mod
-import repro.core.engine as engine_mod
-from repro.core.engine import masks_to_words, words_to_int
+from repro.core.batch import masks_to_words, words_to_int
 from repro.core.session import (
     CCMConfig,
     default_checking_frame_length,
     run_session,
 )
-from repro.net.channel import (
-    Channel,
-    LossyChannel,
-    PerfectChannel,
-    or_reduce_segments,
-)
+from repro.net.channel import LossyChannel, PerfectChannel, or_reduce_segments
 from repro.net.geometry import Point, clustered_disk, uniform_annulus, uniform_disk
 from repro.net.topology import Network, Reader
+from repro.scenario import ScenarioSessionEngine
 from repro.sim.rng import TagHasher
 from tests.oracle import run_oracle
 
@@ -124,6 +118,29 @@ class TestPackedPrimitives:
         # Cached: same object on repeat calls.
         assert network.packed_adjacency() is adj
 
+    @pytest.mark.parametrize("chunk_words", [1, 7, 64, 1 << 22])
+    def test_or_reduce_row_filter_across_runs(self, chunk_words):
+        """Filtering inside each bounded row run gives the unfiltered OR
+        whatever the run size (runs of one row, runs cutting through
+        rows with no kept sources, one run)."""
+        rng = np.random.default_rng(11)
+        n, n_words = 80, 2
+        rows = rng.integers(0, 2**64, size=(n, n_words), dtype=np.uint64)
+        rows[rng.random(n) < 0.6] = 0
+        degree = rng.integers(0, 9, size=n)
+        degree[::5] = 0
+        indices = np.concatenate(
+            [rng.integers(0, n, size=d) for d in degree]
+        ).astype(np.int32)
+        indptr = np.concatenate(([0], np.cumsum(degree))).astype(np.int64)
+        expected = or_reduce_segments(rows, indptr, indices)
+        got = or_reduce_segments(
+            rows, indptr, indices, row_filter=rows.any(axis=1),
+            chunk_words=chunk_words,
+        )
+        np.testing.assert_array_equal(got, expected)
+        assert expected.any() and not expected.all()
+
     def test_or_reduce_row_filter_drops_silent_sources(self):
         rows = np.array([[3], [0], [12]], dtype=np.uint64)
         indptr = np.array([0, 2, 3, 4])
@@ -137,29 +154,15 @@ class TestPackedPrimitives:
 
 
 class TestEngineRegistry:
-    """``run_session`` picks its implementation from the channel alone:
-    the exact built-in types run on the batch kernel, anything else on
-    the big-int oracle.  (The named-engine registry is gone.)"""
-
-    @staticmethod
-    def _spy_routes(monkeypatch):
-        calls = []
-        kernel, oracle = batch_mod._run_single, engine_mod.run_bigint_session
-
-        def spy_kernel(*args, **kwargs):
-            calls.append("kernel")
-            return kernel(*args, **kwargs)
-
-        def spy_oracle(*args, **kwargs):
-            calls.append("oracle")
-            return oracle(*args, **kwargs)
-
-        monkeypatch.setattr(batch_mod, "_run_single", spy_kernel)
-        monkeypatch.setattr(engine_mod, "run_bigint_session", spy_oracle)
-        return calls
+    """``run_session`` has one path: the batch kernel, which accepts the
+    exact built-in channel types only.  (The named-engine registry and
+    the oracle route are gone.)"""
 
     def test_available_engines(self):
-        """The registry API and the ``engine=`` knob are removed."""
+        """The registry API, the ``engine=`` knob and the in-package
+        oracle are removed."""
+        import importlib
+
         import repro
         import repro.core
         import repro.scenario
@@ -167,12 +170,15 @@ class TestEngineRegistry:
         gone = (
             "AUTO_ENGINE", "SessionEngine", "BigintSessionEngine",
             "PackedSessionEngine", "available_engines", "get_engine",
-            "register_engine", "resolve_engine",
+            "register_engine", "resolve_engine", "run_bigint_session",
         )
-        for module in (engine_mod, repro.core, repro, repro.scenario):
+        for module in (batch_mod, repro.core, repro, repro.scenario):
             for name in gone:
                 assert not hasattr(module, name), (module.__name__, name)
-        assert "run_bigint_session" in repro.core.__all__
+        assert "run_bigint_session" not in repro.core.__all__
+        for module in ("repro.core.engine", "repro.core.reference"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
 
     def test_unknown_engine(self, star_network):
         """Every engine name is unknown now: ``engine=`` is not a
@@ -184,7 +190,14 @@ class TestEngineRegistry:
             )
 
     def test_auto_resolution(self, star_network, monkeypatch):
-        calls = self._spy_routes(monkeypatch)
+        calls = []
+        kernel = batch_mod._run_single
+
+        def spy_kernel(*args, **kwargs):
+            calls.append("kernel")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "_run_single", spy_kernel)
         config = CCMConfig(frame_size=8)
         picks = [0, 1, 2, 3, 4]
         rng = np.random.default_rng(0)
@@ -194,48 +207,48 @@ class TestEngineRegistry:
             run_session(
                 star_network, picks, config=config, channel=channel, rng=rng
             )
-        # Lossy channels consume the repro-channel-rng-v1 stream
-        # identically on both paths, so they run on the kernel too.
         assert calls == ["kernel"] * 4
 
-    def test_auto_is_conservative_for_subclasses(
-        self, star_network, monkeypatch
-    ):
-        class TracingChannel(PerfectChannel):
+    @pytest.mark.parametrize(
+        "entry", ["run_session", "run_session_batch", "scenario"]
+    )
+    @pytest.mark.parametrize(
+        "kind", ["perfect-subclass", "lossy-subclass", "not-a-channel"]
+    )
+    def test_custom_channel_rejected(self, star_network, entry, kind):
+        """The channel set is closed: a subclass of a built-in channel
+        (which may override propagation) or any other object raises
+        TypeError from every session entry point."""
+
+        class SubPerfect(PerfectChannel):
             pass
 
-        class TracingLossy(LossyChannel):
+        class SubLossy(LossyChannel):
             pass
 
-        calls = self._spy_routes(monkeypatch)
+        channel = {
+            "perfect-subclass": SubPerfect(),
+            "lossy-subclass": SubLossy(0.2),
+            "not-a-channel": object(),
+        }[kind]
         config = CCMConfig(frame_size=8)
-        for channel in (TracingChannel(), TracingLossy(0.2)):
-            run_session(
-                star_network, [0, 1, 2, 3, 4], config=config,
-                channel=channel, rng=np.random.default_rng(0),
-            )
-        assert calls == ["oracle", "oracle"]
-
-    def test_packed_refuses_bigint_only_channel(self, star_network):
-        class BigintOnly(Channel):
-            def propagate(self, transmit, indptr, indices, rng=None):
-                return PerfectChannel().propagate(
-                    transmit, indptr, indices, rng
+        masks = [1, 2, 4, 8, 16]
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError, match="PerfectChannel or LossyChannel"):
+            if entry == "run_session":
+                run_session(
+                    star_network, masks=masks, config=config,
+                    channel=channel, rng=rng,
                 )
-
-            def reader_senses(self, transmit, tier1, rng=None):
-                return PerfectChannel().reader_senses(transmit, tier1, rng)
-
-        config = CCMConfig(frame_size=8)
-        with pytest.raises(ValueError, match="packed"):
-            batch_mod.run_session_batch(
-                star_network, [[1, 2, 4, 8, 16]], config, channel=BigintOnly()
-            )
-        # run_session routes the same channel to the oracle.
-        result = run_session(
-            star_network, [0, 1, 2, 3, 4], config=config, channel=BigintOnly()
-        )
-        assert result.bitmap.popcount() == 5
+            elif entry == "run_session_batch":
+                batch_mod.run_session_batch(
+                    star_network, [masks], config, channel=channel,
+                    rngs=[rng],
+                )
+            else:
+                ScenarioSessionEngine().run(
+                    star_network, masks, config, channel=channel, rng=rng
+                )
 
     def test_wrapped_lossy_instance_stays_on_tag_major(
         self, small_network, monkeypatch
@@ -420,8 +433,8 @@ class TestLossyCrossEngineEquivalence:
     def test_zero_loss_routes_to_slot_major_without_rng(self):
         """LossyChannel(0.0) consumes no draws, so run_session must reach
         the silent slot-major fast path — which never touches an rng.
-        The oracle and tag-major lossy paths raise without one, so
-        succeeding here proves the dispatch."""
+        The tag-major lossy path raises without one, so succeeding here
+        proves the dispatch."""
         network = _build_network("disk", n_tags=200, seed=9)
         masks = _masks_for(network, 64, seed=2, multibit=False)
         config = CCMConfig(frame_size=64)

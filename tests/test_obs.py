@@ -3,10 +3,11 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.session import CCMConfig, run_session
-from repro.net.channel import PerfectChannel
+from repro.net.channel import LossyChannel, PerfectChannel
 from repro.obs import (
     EventBus,
     MetricsRegistry,
@@ -21,6 +22,7 @@ from repro.obs import (
     write_manifest_alongside,
 )
 from repro.protocols.transport import frame_picks
+from tests.oracle import run_oracle
 
 
 class TestMetricPrimitives:
@@ -256,22 +258,18 @@ class TestRunManifest:
         assert manifest.git_rev is None or len(manifest.git_rev) == 40
 
 
-class _OracleChannel(PerfectChannel):
-    """Not an exact built-in type, so ``run_session`` runs the oracle."""
-
-
-#: the channel that sends run_session down each path
-ROUTES = {"bigint": _OracleChannel, "packed": PerfectChannel}
+#: the channel that sends run_session down each kernel path
+ROUTES = {"packed": PerfectChannel, "lossy": lambda: LossyChannel(0.2)}
 
 
 class TestInstrumentedSession:
-    @pytest.mark.parametrize("engine", ["bigint", "packed"])
+    @pytest.mark.parametrize("engine", ["packed", "lossy"])
     def test_session_records_phases_and_counters(self, small_network, engine):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
         with use_registry() as reg:
             result = run_session(
                 small_network, picks, config=CCMConfig(frame_size=64),
-                channel=ROUTES[engine](),
+                channel=ROUTES[engine](), rng=np.random.default_rng(3),
             )
         counters = reg.snapshot()["counters"]
         assert counters["ccm_sessions_total"] == 1.0
@@ -279,9 +277,8 @@ class TestInstrumentedSession:
         assert counters["ccm_session_slots_total"] == float(result.total_slots)
         stats = reg.span_stats()
         assert stats[("session",)][0] == 1
-        # the batch kernel's rounds nest under its span
-        kernel = {"bigint": (), "packed": ("session_batch",)}[engine]
-        round_path = ("session", *kernel, "round")
+        # the batch kernel's rounds nest under its span, on either path
+        round_path = ("session", "session_batch", "round")
         assert stats[round_path][0] == result.rounds
         for phase in ("data_frame", "indicator", "checking"):
             assert (*round_path, phase) in stats
@@ -289,17 +286,21 @@ class TestInstrumentedSession:
 
     def test_engines_agree_on_protocol_counters(self, small_network):
         picks = frame_picks(small_network.tag_ids, 64, 1.0, seed=1)
+        # The oracle publishes the protocol counters the way run_session
+        # does (emit_session_observables); the session-level counters are
+        # run_session's own.
+        entry_only = {
+            "ccm_session_seconds", "ccm_sessions_total",
+            "ccm_session_slots_total",
+        }
         values = {}
-        for engine in ("bigint", "packed"):
+        for engine, run in (("bigint", run_oracle), ("packed", run_session)):
             with use_registry() as reg:
-                run_session(
-                    small_network, picks, config=CCMConfig(frame_size=64),
-                    channel=ROUTES[engine](),
-                )
+                run(small_network, picks, config=CCMConfig(frame_size=64))
             counters = reg.snapshot()["counters"]
             values[engine] = {
                 k: v for k, v in counters.items()
-                if k.startswith("ccm_") and k != "ccm_session_seconds"
+                if k.startswith("ccm_") and k not in entry_only
             }
         assert values["bigint"] == values["packed"]
 

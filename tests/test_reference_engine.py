@@ -1,4 +1,5 @@
-"""Differential tests: the bit-parallel engine vs the slot-by-slot oracle.
+"""Differential tests: the batch kernel vs the slot-by-slot oracle
+(``tests/oracle.py``).
 
 For any (network, picks, config), both implementations of Algorithm 1
 must agree *exactly* — bitmap, round count, slot tally, per-tag sent and
@@ -13,14 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.batch as batch_mod
-from repro.core.engine import run_bigint_session
-from repro.core.reference import run_session_reference
 from repro.core.session import CCMConfig, _picks_to_masks, run_session
 from repro.net.channel import LossyChannel
 from repro.net.geometry import Point, uniform_disk
 from repro.net.topology import Network, PaperDeployment, Reader, paper_network
 from repro.protocols.transport import frame_picks
 from repro.scenario import LinkBudget, ScenarioConfig, ScenarioSessionEngine
+from tests.oracle import run_bigint_session, run_session_reference
 
 
 def assert_identical(fast, slow):
@@ -186,7 +186,7 @@ class TestRandomTopologies:
         ours, theirs = (
             run(
                 net, masks, config,
-                channel=LossyChannel(loss, frame_size_hint=frame),
+                channel=LossyChannel(loss),
                 rng=np.random.default_rng(seed),
             )
             for run in (ScenarioSessionEngine().run, run_bigint_session)

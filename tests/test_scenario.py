@@ -186,7 +186,7 @@ class TestPowerMask:
         def one(engine):
             return engine.run(
                 net, _picks_to_masks(picks, f), CCMConfig(frame_size=f),
-                channel=LossyChannel(loss, frame_size_hint=f),
+                channel=LossyChannel(loss),
                 rng=np.random.default_rng(3),
             )
 
@@ -280,20 +280,26 @@ class TestStaticEquivalencePin:
     """The acceptance pin: hooks off ⇒ bit-identical to ``run_session``
     (the batch kernel) and to the big-int oracle."""
 
-    @pytest.mark.parametrize("baseline", ["bigint", "packed"])
+    @pytest.mark.parametrize(
+        "baseline, n_tags, seed",
+        [
+            pytest.param("bigint", 400, 11, id="bigint"),
+            pytest.param("packed", 400, 11, id="packed"),
+            pytest.param("bigint", 600, 9, id="bigint-n600"),
+            pytest.param("packed", 600, 9, id="packed-n600"),
+        ],
+    )
     @pytest.mark.parametrize("loss", [0.0, 0.2])
-    def test_scenario_engine_equals_baseline(self, baseline, loss):
-        net = small_network(n=400)
+    def test_scenario_engine_equals_baseline(
+        self, baseline, n_tags, seed, loss
+    ):
+        net = small_network(n=n_tags, seed=seed)
         f = 129
         picks = picks_for(net, f)
         config = CCMConfig(frame_size=f)
 
         def one(run):
-            channel = (
-                LossyChannel(loss, frame_size_hint=f)
-                if loss > 0.0
-                else PerfectChannel()
-            )
+            channel = LossyChannel(loss) if loss > 0.0 else PerfectChannel()
             return run(
                 net,
                 picks,
@@ -344,18 +350,6 @@ class TestStaticEquivalencePin:
             ours.ledger.bits_received.tobytes()
             == theirs.ledger.bits_received.tobytes()
         )
-
-    def test_rejects_unpacked_channel(self):
-        class NoPacked:
-            supports_packed = False
-
-        net = small_network(n=50)
-        engine = ScenarioSessionEngine()
-        with pytest.raises(ValueError, match="packed"):
-            engine.run(
-                net, [0] * net.n_tags, CCMConfig(frame_size=8),
-                channel=NoPacked(),
-            )
 
 
 class TestScenarioEngineDynamics:
