@@ -105,7 +105,7 @@ _EMPTY_PAIRS = np.empty(0, dtype=np.int32)
 _ALL_ONES = ~np.uint64(0)
 
 #: ``(round_index, slots so far) -> (network, powered mask or None)``,
-#: called at the top of each round of the tag-major path.
+#: called at the top of each round on either path (trial 0's slots).
 RoundHook = Callable[[int, SlotCount], Tuple[Network, Optional[np.ndarray]]]
 
 
@@ -330,6 +330,31 @@ def _append_stats(
         )
 
 
+def _enter_round(
+    hook: RoundHook, index: int, short: np.ndarray, ids: np.ndarray,
+    powered: np.ndarray,
+) -> Network:
+    """Call ``hook`` for round ``index``; store its powered mask in
+    ``powered`` (``None`` powers every tag) and return its network."""
+    network, mask = hook(index, SlotCount(int(short[0]), int(ids[0])))
+    powered[:] = True if mask is None else mask
+    return network
+
+
+def _scatter_bits(
+    shape: Tuple[int, ...], rows: np.ndarray, bits: np.ndarray
+) -> np.ndarray:
+    """A zero uint64 array of ``shape`` (last axis: words) with bit
+    ``bits[i]`` set in flat row ``rows[i]``."""
+    out = np.zeros(shape, dtype=np.uint64)
+    np.bitwise_or.at(
+        out.reshape(-1, shape[-1]),
+        (rows, bits >> 6),
+        np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64)),
+    )
+    return out
+
+
 def _initial_pairs(
     masks_batch: Optional[Sequence[Sequence[int]]],
     picks_batch: Optional[Sequence[np.ndarray]],
@@ -399,6 +424,7 @@ def _batch_slot_major(
     masks_batch: Optional[Sequence[Sequence[int]]],
     config: CCMConfig,
     picks_batch: Optional[Sequence[np.ndarray]] = None,
+    round_hook: Optional[RoundHook] = None,
 ) -> List[SessionResult]:
     """The perfect-channel path: slot-major state, integer accounting.
 
@@ -429,6 +455,10 @@ def _batch_slot_major(
     their nonzero coordinates *are* the next round's pairs (int32: every
     flat key here is bounded by the ``known`` array's element count,
     which memory already caps far below 2**31).
+
+    ``round_hook`` is served as on :func:`_batch_tag_major`: unpowered
+    tags' pairs are parked for the round, learned rows are ANDed with
+    the powered bitset and listen bits are multiplied by ``powered``.
     """
     obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
@@ -449,16 +479,10 @@ def _batch_slot_major(
         iv_slots = indicator_vector_slots(f)
 
         pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
+        known = _scatter_bits((B, f, wn), pb * f + ps, pt)
         pb = pb.astype(np.int32)
         ps = ps.astype(np.int32)
         pt = pt.astype(np.int32)
-        known = np.zeros((B, f, wn), dtype=np.uint64)
-        if pb.size:
-            np.bitwise_or.at(
-                known.reshape(B * f * wn),
-                (pb.astype(np.int64) * f + ps) * wn + (pt >> 6),
-                np.left_shift(np.uint64(1), (pt & 63).astype(np.uint64)),
-            )
         bitmap = np.zeros((B, f), dtype=bool)
         dcount = np.zeros((B, n), dtype=np.int64)
         overlap = np.zeros((B, n), dtype=np.int64)
@@ -484,6 +508,16 @@ def _batch_slot_major(
         with obs.span("round"):
             act = active
             rounds_run[act] = round_index
+            parked = None
+            if round_hook is not None:
+                network = _enter_round(
+                    round_hook, round_index, short_slots, id_slots, powered
+                )
+                tier1, reachable = network.tier1_mask, network.reachable_mask
+                awake = powered[pb, pt]
+                if not awake.all():  # sleeping tags' pairs sit this out
+                    parked = [a[~awake] for a in (pb, ps, pt)]
+                    pb, ps, pt = pb[awake], ps[awake], pt[awake]
 
             # --- data frame ---------------------------------------------
             with obs.span("data_frame"):
@@ -504,7 +538,7 @@ def _batch_slot_major(
                     monitored = sil_prev[:, None] + dcount - overlap
                 else:
                     monitored = dcount
-                recv_bits[act] += (f - monitored[act]).astype(np.float64)
+                recv_bits[act] += ((f - monitored) * powered)[act]
                 short_slots[act] += f
                 hist_bs = np.concatenate((hist_bs, key_bs))
                 hist_bt = np.concatenate((hist_bt, key_bt))
@@ -522,7 +556,7 @@ def _batch_slot_major(
                 with obs.span("indicator"):
                     sil_prev = np.count_nonzero(bitmap, axis=1)
                     id_slots[act] += iv_slots
-                    recv_bits[act] += float(f)
+                    recv_bits[act] += f * powered[act]
                     # Done slots that just turned busy: the pair history
                     # holds exactly initial ∪ learned_{<r} ∪ this round =
                     # the done set, so its newly-busy members are the
@@ -561,6 +595,8 @@ def _batch_slot_major(
                             adjacency[qt[bounds[j] : bounds[j + 1]]], axis=0
                         )
                     learned_rows &= ~known_rows
+                    if not powered.all():  # sleeping tags learn nothing
+                        learned_rows &= _pack_rows(powered, wn)[surv_b]
                     known[surv_b, surv_s] = known_rows | learned_rows
                     # Per-trial pending-tags union straight off the packed
                     # rows (rows are sorted by trial): feeds the checking
@@ -574,6 +610,17 @@ def _batch_slot_major(
                     next_pb, next_ps, next_pt = _extract_pairs(
                         learned_rows, surv_b, surv_s, n
                     )
+                if parked is not None:  # rejoins unless now silenced
+                    if use_iv:
+                        kept = ~bitmap[parked[0], parked[1]]
+                        parked = [a[kept] for a in parked]
+                    has_pending[parked[0], parked[2]] = True
+                    nxt = [
+                        np.concatenate(a)
+                        for a in zip((next_pb, next_ps, next_pt), parked)
+                    ]
+                    order = np.argsort(nxt[0] * f + nxt[1], kind="stable")
+                    next_pb, next_ps, next_pt = (a[order] for a in nxt)
 
             # --- checking frame -----------------------------------------
             with obs.span("checking"):
@@ -641,7 +688,10 @@ def _batch_tag_major(
     of every round with ``(round_index, slots so far)`` and returns
     ``(network, powered)``: the round's network — a moved reader relinks
     the tiers over the same tag adjacency — and its powered-tag mask, or
-    ``None`` for every tag powered.
+    ``None`` for every tag powered.  Perfect-channel sessions with a hook
+    run on :func:`_batch_slot_major`, which carries these semantics over
+    to transmit pairs; this path serves lossy channels and perfect
+    networks above :data:`SLOT_MAJOR_MAX_ADJ_BYTES`.
     """
     obs = obs_metrics.OBS
     B = len(masks_batch) if masks_batch is not None else len(picks_batch)
@@ -659,23 +709,8 @@ def _batch_tag_major(
         wf = max(1, (f + 63) // 64)
         iv_slots = indicator_vector_slots(f)
 
-        if picks_batch is not None:
-            pending = np.zeros((B, n, wf), dtype=np.uint64)
-            pk = np.stack(
-                [np.asarray(p, dtype=np.int64) for p in picks_batch]
-            )
-            b_idx, t_idx = np.nonzero(pk >= 0)
-            if b_idx.size:
-                s_idx = pk[b_idx, t_idx]
-                np.bitwise_or.at(
-                    pending.reshape(B * n * wf),
-                    (b_idx * n + t_idx) * wf + (s_idx >> 6),
-                    np.left_shift(
-                        np.uint64(1), (s_idx & 63).astype(np.uint64)
-                    ),
-                )
-        else:
-            pending = np.stack([masks_to_words(m, f) for m in masks_batch])
+        pb, ps, pt = _initial_pairs(masks_batch, picks_batch, n, f)
+        pending = _scatter_bits((B, n, wf), pb * n + pt, ps)
         known = pending.copy()
         done = np.zeros((B, n, wf), dtype=np.uint64)
         silenced = np.zeros((B, wf), dtype=np.uint64)
@@ -699,15 +734,10 @@ def _batch_tag_major(
             act = active
             rounds_run[act] = round_index
             if round_hook is not None:
-                network, mask = round_hook(
-                    round_index,
-                    SlotCount(
-                        short_slots=int(short_slots[0]),
-                        id_slots=int(id_slots[0]),
-                    ),
+                network = _enter_round(
+                    round_hook, round_index, short_slots, id_slots, powered
                 )
                 tier1 = network.tier1_mask
-                powered[:] = True if mask is None else mask
                 awake = np.where(powered, _ALL_ONES, np.uint64(0))[..., None]
 
             # --- data frame ---------------------------------------------
@@ -904,8 +934,8 @@ def _run_batch(
     whose masks have already been validated.  The one channel gate of
     the package: the channel is ``None`` or an exact built-in type.  A
     lossless channel draws nothing, so it takes the silent slot-major
-    path unless a ``round_hook`` (see :func:`_batch_tag_major`) asks for
-    tag-major.
+    path up to :data:`SLOT_MAJOR_MAX_ADJ_BYTES`, with or without a
+    ``round_hook``; lossy channels take tag-major.
     """
     if channel is None:
         channel = PerfectChannel()
@@ -917,12 +947,12 @@ def _run_batch(
     n = network.n_tags
     with obs_metrics.OBS.span("session_batch"):
         if (
-            round_hook is None
-            and channel.loss == 0.0
+            channel.loss == 0.0
             and n * max(1, (n + 63) // 64) * 8 <= SLOT_MAJOR_MAX_ADJ_BYTES
         ):
             return _batch_slot_major(
-                network, masks_batch, config, picks_batch=picks_batch
+                network, masks_batch, config, picks_batch=picks_batch,
+                round_hook=round_hook,
             )
         return _batch_tag_major(
             network,
@@ -937,15 +967,16 @@ def _run_batch(
 
 def _run_single(
     network: Network,
-    masks: Sequence[int],
+    masks: Optional[Sequence[int]],
     config: CCMConfig,
     *,
+    picks: Optional[np.ndarray] = None,
     channel: Optional[Channel] = None,
     rng: Optional[np.random.Generator] = None,
     ledger: Optional[EnergyLedger] = None,
     round_hook: Optional[RoundHook] = None,
 ) -> SessionResult:
-    """One validated session on the kernel (B = 1).
+    """One validated session on the kernel (B = 1), ``masks`` or ``picks``.
 
     A caller-supplied ``ledger`` receives the session's bits; the sums
     are integer-valued float64, so the totals are exact in any
@@ -953,8 +984,9 @@ def _run_single(
     """
     [result] = _run_batch(
         network,
-        [[int(m) for m in masks]],
+        None if masks is None else [[int(m) for m in masks]],
         config,
+        picks_batch=None if picks is None else [picks],
         channel=channel,
         rngs=None if rng is None else [rng],
         round_hook=round_hook,

@@ -285,7 +285,12 @@ def run_session(
                 raise ValueError(
                     f"picks has {len(picks)} entries for {n} tags"
                 )
-            masks = _picks_to_masks(picks, config.frame_size)
+            picks = np.asarray(picks, dtype=np.int64)
+            bad = picks[picks >= config.frame_size]
+            if bad.size:
+                raise ValueError(
+                    f"pick {bad[0]} out of range for frame {config.frame_size}"
+                )
         else:
             if len(masks) != n:
                 raise ValueError(
@@ -307,7 +312,8 @@ def run_session(
 
         started = time.perf_counter()
         result = _run_single(
-            network, masks, config, channel=channel, rng=rng, ledger=ledger
+            network, masks, config, picks=picks, channel=channel, rng=rng,
+            ledger=ledger,
         )
         emit_session_observables(result, config, tracer)
         if obs.enabled:

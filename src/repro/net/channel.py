@@ -94,10 +94,6 @@ def or_reduce_segments(
         return out
     if row_filter is not None and not row_filter.any():
         return out
-    # The sentinel zero row makes every reduceat start index valid (rows
-    # whose segment is empty land on it) and pads the final segment with
-    # an OR-identity.
-    sentinel = np.zeros((1, n_words), dtype=rows.dtype)
     max_entries = max(1, chunk_words // max(n_words, 1))
     for run in csr_row_runs(indptr, np.arange(n), max_entries=max_entries):
         start, end = int(run[0]), int(run[-1]) + 1
@@ -110,12 +106,13 @@ def or_reduce_segments(
             sources = sources[keep]
         if sources.size == 0:
             continue
-        gathered = np.concatenate([rows[sources], sentinel], axis=0)
-        segment = np.bitwise_or.reduceat(
-            gathered, bounds[:-1].astype(np.intp), axis=0
+        # Reducing at the non-empty starts only: each such segment ends
+        # where the next non-empty one starts, the last at the run's end,
+        # and empty listeners keep their zero row.
+        nonempty = np.flatnonzero(bounds[:-1] != bounds[1:])
+        out[start + nonempty] = np.bitwise_or.reduceat(
+            rows[sources], bounds[nonempty].astype(np.intp), axis=0
         )
-        segment[bounds[:-1] == bounds[1:]] = 0
-        out[start:end] = segment
     return out
 
 

@@ -57,14 +57,14 @@ def frame_picks(
     reader.  Non-participants get -1.
     """
     hasher = TagHasher(seed)
-    picks = []
-    for tid in tag_ids:
-        tid = int(tid)
-        if probability >= 1.0 or hasher.participates(tid, probability):
-            picks.append(hasher.slot_of(tid, frame_size))
-        else:
-            picks.append(-1)
-    return picks
+    ids = np.asarray(tag_ids, dtype=np.int64).view(np.uint64)
+    joins = np.ones(ids.shape, dtype=bool)
+    if probability < 1.0 and ids.size:
+        joins = hasher.participates(ids, probability)
+    picks = np.full(ids.shape, -1, dtype=np.int64)
+    if joins.any():
+        picks[joins] = hasher.slot_of(ids[joins], frame_size)
+    return picks.tolist()
 
 
 def search_masks(

@@ -20,12 +20,13 @@ After the kernel returns, :attr:`ScenarioSessionEngine.journal` (when
 set) receives one record per round with the absolute time, reader
 position, powered count and relink flag.
 
-With the hooks disabled (no trajectory or a static one, no link budget —
-the default ``ScenarioConfig()``), the engine passes no hook and the
-session is routed like :func:`~repro.core.session.run_session`'s:
-bit-identical bitmap, rounds, slots, round stats and ledger floats, at
-slot-major speed on the perfect channel — the static-equivalence pin the
-tests assert against ``run_session`` and the big-int oracle.
+The hook does not change the routing: like
+:func:`~repro.core.session.run_session`'s, a session runs slot-major on
+the perfect channel and tag-major on a lossy one.  With the hooks
+disabled (no trajectory or a static one, no link budget — the default
+``ScenarioConfig()``), the engine passes no hook: bit-identical bitmap,
+rounds, slots, round stats and ledger floats — the static-equivalence
+pin the tests assert against ``run_session`` and the big-int oracle.
 
 A session that terminates while a *sleeping* reachable tag still holds
 pending data reports ``terminated_cleanly=False``: the reader cannot hear

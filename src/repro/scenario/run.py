@@ -220,7 +220,7 @@ def run_scenario(
             if event.kind == "op_start":
                 k = event.payload["op"]
                 picks = frame_picks(
-                    net.tag_ids.tolist(),
+                    net.tag_ids,
                     frame_size,
                     participation,
                     derive_seed(seed, _PICKS_STREAM, k),
@@ -290,6 +290,7 @@ def run_scenario(
             elif event.kind == "mobility":
                 k = event.payload["op"]
                 old = net.positions
+                net = None  # free its neighbour bitsets before the rebuild
                 moved = old
                 if max_step_m > 0.0:
                     moved = displace(

@@ -6,7 +6,10 @@ reader must *predict* the slot every known tag will pick, so both sides must
 evaluate exactly the same hash.  We implement a splitmix64-style avalanche
 hash, which is fast, has excellent bit diffusion, and is trivially portable.
 
-All functions are pure; nothing here keeps state.
+All functions are pure; nothing here keeps state.  Every hash also maps
+a numpy uint64 array element-wise: wrapping uint64 arithmetic is the
+``& _MASK64``, so ``TagHasher(seed).slot_of(ids, f)`` hashes a whole
+tag-id array (int64 IDs viewed as uint64) with one ``derive_seed``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,12 @@ RNG-contract fingerprint coupling.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.batch as batch_mod
 from repro.core.batch import (
@@ -23,7 +27,9 @@ from repro.core.batch import (
     run_session_batch,
 )
 from repro.core.session import CCMConfig, run_session
-from repro.net.channel import LossyChannel
+from repro.net.channel import LossyChannel, PerfectChannel
+from repro.net.geometry import Point
+from repro.net.topology import PaperDeployment, paper_network
 from repro.sim.parallel import Campaign, ExecutorConfig
 from repro.sim.plan import RunPlan
 from repro.sim.runner import trial_seed
@@ -116,6 +122,78 @@ class TestEquivalenceGrid:
         tag_major = run_batched(small_network, 64, 0.0, seeds)
         for a, b in zip(slot_major, tag_major):
             assert_sessions_identical(a, b)
+
+
+@st.composite
+def hooked_cases(draw):
+    """A perfect-channel batch plus a per-round (moved reader, powered
+    mask) schedule: rounds with every tag powered (``None``), masks
+    that put tags to sleep holding pending data and wake them later."""
+    n = draw(st.integers(20, 400))
+    f = draw(st.integers(1, 200))
+    batch = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    net = paper_network(
+        draw(st.sampled_from((3.0, 6.0, 9.0))), n_tags=n, seed=seed,
+        deployment=PaperDeployment(
+            n_tags=n, field_radius=draw(st.sampled_from((10.0, 20.0, 30.0)))
+        ),
+    )
+    schedule = []
+    for _ in range(draw(st.integers(1, 6))):
+        round_net = net
+        if draw(st.booleans()):  # the reader moves for this round
+            x, y = rng.uniform(-20.0, 20.0, size=2)
+            round_net = net.with_readers(
+                [replace(net.readers[0], position=Point(float(x), float(y)))]
+            )
+        awake = draw(st.sampled_from((None, 0.0, 0.4, 0.8)))
+        mask = None if awake is None else rng.random(n) < awake
+        schedule.append((round_net, mask))
+    masks_batch = []
+    for _ in range(batch):
+        picks = rng.integers(0, f, size=(n, 2))
+        joins = rng.random((n, 2)) < (0.8, 0.1)  # a few two-bit masks
+        masks_batch.append([
+            sum(1 << int(s) for s in set(picks[i][joins[i]]))
+            for i in range(n)
+        ])
+    config = CCMConfig(
+        frame_size=f,
+        use_indicator_vector=draw(st.booleans()),
+        max_rounds=draw(st.sampled_from((None, 1, 3, 8))),
+    )
+    return net, masks_batch, config, schedule
+
+
+class TestHookedSlotMajor:
+    """With a round hook (reader motion, power masks) the slot-major
+    path equals the tag-major path on the perfect channel."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hooked_cases())
+    def test_slot_major_equals_tag_major(self, case):
+        net, masks_batch, config, schedule = case
+        outs, calls = [], []
+        for run in (
+            batch_mod._batch_slot_major,
+            partial(
+                batch_mod._batch_tag_major, channel=PerfectChannel(),
+                rngs=None,
+            ),
+        ):
+            seen = []
+
+            def hook(round_index, slots, seen=seen):
+                seen.append((round_index, slots))
+                return schedule[(round_index - 1) % len(schedule)]
+
+            outs.append(run(net, masks_batch, config, round_hook=hook))
+            calls.append(seen)
+        assert calls[0] == calls[1]
+        for a, b in zip(*outs):
+            assert_sessions_identical(b, a)
 
 
 class TestTrialOrderIndependence:

@@ -175,7 +175,7 @@ class TestPowerMask:
 
     @pytest.mark.parametrize("loss", [0.0, 0.2])
     def test_all_powered_mask_is_identity(self, loss):
-        # A budget that powers every tag still runs the hook (tag-major,
+        # A budget that powers every tag still runs the hook (with an
         # all-True mask); every masking step must then be the identity.
         net = small_network(n=200)
         f = 65
@@ -228,27 +228,33 @@ class TestPowerMask:
         )
         assert result.terminated_cleanly
 
-    def test_routing_static_slot_major_dynamic_tag_major(self):
+    def test_routing_perfect_slot_major_lossy_tag_major(self):
+        """Static and dynamic perfect sessions run slot-major; a dynamic
+        lossy session runs tag-major."""
         net = small_network(n=200)
         f = 65
         masks = _picks_to_masks(picks_for(net, f), f)
         config = CCMConfig(frame_size=f)
-        with mock.patch.object(
-            batch_mod, "_batch_tag_major",
-            side_effect=AssertionError("static config left slot-major"),
-        ):
-            static = ScenarioSessionEngine().run(net, masks, config)
-        assert static.bitmap == run_session(
-            net, picks_for(net, f), config=config
-        ).bitmap
-
         dynamic = ScenarioSessionEngine(
             ScenarioConfig(link_budget=LinkBudget(threshold_dbm=-22.0))
         )
         with mock.patch.object(
+            batch_mod, "_batch_tag_major",
+            side_effect=AssertionError("perfect channel left slot-major"),
+        ):
+            static = ScenarioSessionEngine().run(net, masks, config)
+            dynamic.run(net, masks, config)
+        assert static.bitmap == run_session(
+            net, picks_for(net, f), config=config
+        ).bitmap
+
+        with mock.patch.object(
             batch_mod, "_batch_tag_major", wraps=batch_mod._batch_tag_major
         ) as tag_major:
-            dynamic.run(net, masks, config)
+            dynamic.run(
+                net, masks, config, channel=LossyChannel(0.2),
+                rng=np.random.default_rng(5),
+            )
         assert tag_major.call_count == 1
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.geometry import Point
 from repro.net.topology import Reader
@@ -12,6 +13,7 @@ from repro.protocols.transport import (
     frame_picks,
     ideal_bitmap,
 )
+from repro.sim.rng import TagHasher
 
 
 class TestFramePicks:
@@ -30,6 +32,38 @@ class TestFramePicks:
         picks = frame_picks(ids, 64, 0.3, seed=2)
         rate = sum(s >= 0 for s in picks) / len(picks)
         assert abs(rate - 0.3) < 0.03
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        ids=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+        frame_size=st.integers(1, 5000),
+        probability=st.sampled_from((0.0, 0.27, 1.0)) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(ids=[0, 2**63 - 1], frame_size=1, probability=0.27, seed=0)
+    @example(ids=[0, 2**63 - 1, -1], frame_size=7, probability=0.0, seed=1)
+    @example(ids=[0, 2**63 - 1, 5], frame_size=1, probability=1.0, seed=2)
+    def test_matches_scalar_tag_hasher(
+        self, ids, frame_size, probability, seed
+    ):
+        """The vectorised picks equal the per-tag :class:`TagHasher`
+        loop, ``& MASK64`` semantics included."""
+        hasher = TagHasher(seed)
+        expected = [
+            hasher.slot_of(t, frame_size)
+            if probability >= 1.0 or hasher.participates(t, probability)
+            else -1
+            for t in ids
+        ]
+        assert frame_picks(ids, frame_size, probability, seed) == expected
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="probability"):
+            frame_picks([1, 2], 16, -0.1, seed=0)
+        with pytest.raises(ValueError, match="frame_size"):
+            frame_picks([1, 2], 0, 1.0, seed=0)
+        assert frame_picks([1, 2], 0, 0.0, seed=0) == [-1, -1]
+        assert frame_picks([], 16, -0.1, seed=0) == []
 
     def test_ideal_bitmap_matches_picks(self):
         ids = [10, 20, 30]
